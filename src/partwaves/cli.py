@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .dary import (
     NotPowerOfD,
+    _powers_list,
     count_dary,
     dary_divisor_set,
     integer_log,
@@ -173,7 +174,7 @@ def _cmd_count(args):
 def _cmd_dary_count(args):
     d, n = args.d, args.n
     k = integer_log(d, n)
-    window = PartsList(tuple(d**i for i in range(k + 1)))
+    window = _powers_list(d, k)
     formula = count_dary(d, n)
     oracle = denumerant_dp(window, n)
     agreement = formula == oracle
@@ -255,7 +256,7 @@ def _cmd_waves(args):
         d = args.d
         k = integer_log(d, n)
         divisors = dary_divisor_set(d, n)
-        oracle = denumerant_dp(PartsList(tuple(d**i for i in range(k + 1))), n)
+        oracle = denumerant_dp(_powers_list(d, k), n)
         inputs = {"d": d, "n": n}
         extra = {"k": k, "D": d**k}
 

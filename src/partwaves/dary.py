@@ -1,26 +1,25 @@
 """Partitions into powers of a base d: the exponent/logarithm bijection with
-ordinary partitions, and the specialized window formulas for counting,
-waves, and the polynomial part.
+ordinary partitions, and the window formulas for counting, waves, and the
+polynomial part.
 
 For n below d**(k+1) a partition into powers of d only uses the parts
-1, d, ..., d**k, so with window k = floor(log_d(n)) the generic closed
-formulas specialize to boxes whose strides are powers of d.  The window sum
-runs over k variables with 0 <= t_i < d**(k+1-i), weighted sum
-s = t_1 + d*t_2 + ... + d**(k-1)*t_k, period D = d**k.
+1, d, ..., d**k, so with window k = floor(log_d(n)) the count, its waves and
+its polynomial part are the general ones of the parts list (1, d, ..., d**k),
+period D = d**k; the functions here validate the base and window and call
+the general routes.
 
 The same variant switch as in `waves` applies here.  Besides the weighting,
 the literal variant also keeps a defective reading of the window sum in
 which the last summand repeats the next-to-last variable with stride
 d**(k-1) and the final variable never enters the sum (for k >= 2); it is
-retained for audit only."""
+retained for audit only, and is the one window box built here."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import RationalPolynomial, bernoulli
+from .exact import RationalPolynomial
 from .partitions import Partition, PartsList
 from .quasipoly import _sum_value_counts, denumerant_formula
 from .waves import (
@@ -29,10 +28,10 @@ from .waves import (
     NotDivisor,
     _assemble_wave,
     _check_variant,
-    _compositions,
-    _moments_from_counts,
-    _poly_from_box_moments,
     _residue_moments_from_counts,
+    polynomial_part_average,
+    polynomial_part_bernoulli,
+    wave,
 )
 
 __all__ = [
@@ -173,14 +172,11 @@ def count_dary(d: int, n: int, k: int | None = None) -> int:
 
 
 @lru_cache(maxsize=None)
-def _window_counts(d: int, k: int, literal: bool):
-    """Distribution of the window sum over the k-variable box (see module
-    docstring for the defective literal reading kept for audit)."""
-    if k < 2 or not literal:
-        specs = tuple((d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k + 1))
-    else:
-        specs = tuple((d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k - 1))
-        specs += ((d ** (k - 2) + d ** (k - 1), d * d), (0, d))
+def _defective_window_counts(d: int, k: int):
+    """Distribution of the defective literal window sum for k >= 2 (see the
+    module docstring), kept for audit."""
+    specs = tuple((d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k - 1))
+    specs += ((d ** (k - 2) + d ** (k - 1), d * d), (0, d))
     return _sum_value_counts(specs)
 
 
@@ -195,7 +191,8 @@ def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
     """The j-th Sylvester wave of the d-ary count, via the window formula.
 
     Requires j to divide d**k for the window k = floor(log_d(n)); equals
-    `wave(j, (1, d, ..., d**k), n)` under the same variant."""
+    `wave(j, (1, d, ..., d**k), n)` under the same variant, except for the
+    defective literal reading when k >= 2."""
     _check_variant(variant)
     _check_base(d)
     if j < 1:
@@ -206,9 +203,11 @@ def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
     period = d**k
     if period % j:
         raise NotDivisor(f"{j} does not divide {d}**{k}")
-    counts, scale = _window_counts(d, k, variant == LITERAL)
-    res_moments = _residue_moments_from_counts(counts, scale, j, k)
-    return _assemble_wave(k + 1, period, j, n, res_moments, variant)
+    if variant == LITERAL and k >= 2:
+        counts, scale = _defective_window_counts(d, k)
+        res_moments = _residue_moments_from_counts(counts, scale, j, k)
+        return _assemble_wave(k + 1, period, j, n, res_moments, variant)
+    return wave(j, _powers_list(d, k), n, variant)
 
 
 def poly_part_d_average(d: int, k: int) -> RationalPolynomial:
@@ -217,26 +216,12 @@ def poly_part_d_average(d: int, k: int) -> RationalPolynomial:
     _check_base(d)
     if k < 0:
         raise ValueError("window k must be non-negative")
-    counts, scale = _window_counts(d, k, False)
-    moments = _moments_from_counts(counts, scale, k)
-    return _poly_from_box_moments(k + 1, d**k, moments)
+    return polynomial_part_average(_powers_list(d, k))
 
 
 def poly_part_d_bernoulli(d: int, k: int) -> RationalPolynomial:
-    """The same window polynomial via the Bernoulli-number route, with the
-    part powers entering through a single power-of-d weight per term."""
+    """The same window polynomial via the Bernoulli-number route."""
     _check_base(d)
     if k < 0:
         raise ValueError("window k must be non-negative")
-    coeffs = [Fraction(0)] * (k + 1)
-    for u in range(k + 1):
-        acc = Fraction(0)
-        for comp in _compositions(u, k + 1):
-            term = Fraction(1)
-            weight = 0
-            for t, i_t in enumerate(comp):
-                term *= bernoulli(i_t) / math.factorial(i_t)
-                weight += t * i_t
-            acc += term * d**weight
-        coeffs[k - u] = Fraction((-1) ** u, math.factorial(k - u)) * acc
-    return RationalPolynomial(coeffs) / d ** (k * (k + 1) // 2)
+    return polynomial_part_bernoulli(_powers_list(d, k))

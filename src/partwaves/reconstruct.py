@@ -5,15 +5,16 @@ system uniquely solvable.
 Taking base-d logarithms turns the positional products into a linear system
 in the exponents.  A square subsystem (initial window, punctured windows,
 sliding windows) has the transpose of `build_c_matrix` as coefficient
-matrix with determinant j, so it pins the exponents down; the solution is
-then validated against every remaining equation.
+matrix with determinant j, so it pins the exponents down.  It is solved in
+closed form: its first j+1 equations give S - e_t for t = 1..j+1, where
+S = e_1 + ... + e_{j+1}, so S is their sum divided by j, and each sliding
+window then gives one new exponent.  The solution is validated against
+every remaining equation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .dary import DAryPartition, NotPowerOfD, exponent_of_power
@@ -162,35 +163,13 @@ def _subsystem_tuples(ell: int, j: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _solve_unit_system(row_tuples, rhs, ell: int) -> list[Fraction]:
-    """Exact solve of the square 0/1 system given by index tuples."""
-    aug = []
-    for tup, b in zip(row_tuples, rhs):
-        chosen = set(tup)
-        aug.append(
-            [Fraction(1) if t + 1 in chosen else Fraction(0) for t in range(ell)]
-            + [Fraction(b)]
-        )
-    for col in range(ell):
-        pivot = next((i for i in range(col, ell) if aug[i][col]), None)
-        if pivot is None:
-            raise InconsistentData("reconstruction subsystem is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(ell):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][ell] for i in range(ell)]
-
-
 def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
     """Recover the d-ary partition whose positional products are given.
 
     Raises NotPowerOfD if any product is not an exact power of d, and
-    InconsistentData if the solved exponents are non-integral, negative,
-    increasing, or violate any equation of the full product system."""
+    InconsistentData if the first j+1 subsystem equations do not sum to a
+    multiple of j, or if the solved exponents are negative, increasing, or
+    violate any equation of the full product system."""
     if d < 2:
         raise ValueError("base must be at least 2")
     ell = products.length
@@ -198,13 +177,20 @@ def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
     if not 1 <= j <= ell - 1:
         raise ValueError(f"reconstruction needs order in 1..{ell - 1}, got {j}")
     logs = {tup: exponent_of_power(value, d) for tup, value in products.items()}
-    row_tuples = _subsystem_tuples(ell, j)
-    solution = _solve_unit_system(row_tuples, [logs[t] for t in row_tuples], ell)
-    exponents = []
-    for x in solution:
-        if x.denominator != 1 or x < 0:
-            raise InconsistentData(f"solved exponents are not counts: {solution}")
-        exponents.append(int(x))
+    rows = [logs[t] for t in _subsystem_tuples(ell, j)]
+    # rows[0] is S - e_{j+1} and rows[t] is S - e_t for t = 1..j.
+    head = sum(rows[: j + 1])
+    total, rem = divmod(head, j)
+    if rem:
+        raise InconsistentData(
+            f"the first {j + 1} window sums add up to {head}, "
+            f"which is not a multiple of j = {j}"
+        )
+    exponents = [total - b for b in rows[1 : j + 1]] + [total - rows[0]]
+    for b in rows[j + 1 :]:
+        exponents.append(b - sum(exponents[len(exponents) - j + 1 :]))
+    if any(e < 0 for e in exponents):
+        raise InconsistentData(f"solved exponents are not counts: {exponents}")
     for a, b in zip(exponents, exponents[1:]):
         if a < b:
             raise InconsistentData(f"solved exponents increase: {exponents}")

@@ -2,21 +2,23 @@
 independent routes to the polynomial part.
 
 The count p_a(n) splits as a sum of waves W_j(n) over the distinct divisors
-j of the entries of `a`; W_1 is the polynomial part.  Each wave is evaluated
-as an exact quadruple sum in cyclotomic arithmetic of order j: congruence
-classes of box-tuple sums modulo j enter with a root-of-unity weight, and
-everything stays cyclotomic until a single rational extraction at the end.
+j of the entries of `a`; W_1 is the polynomial part.  The box-tuple sums are
+split into congruence classes modulo j, each class is expanded into a
+polynomial in n, and the classes are combined with a weight per class.
 
 Two weightings are exposed:
 
 * "twisted" (default): class ell is weighted by the sum of rho_j**(nu*(ell-n))
   over 0 <= nu < j coprime to j, i.e. the rho_j**(-nu*n) twist from
-  Sylvester's classical wave definition applied to each class.  This variant
-  satisfies the decomposition identity sum_j W_j(n) = p_a(n) exactly.
+  Sylvester's classical wave definition applied to each class.  That sum is
+  the Ramanujan sum c_j(ell - n), an integer, so the wave is a sum of
+  rationals.  This variant satisfies the decomposition identity
+  sum_j W_j(n) = p_a(n) exactly.
 * "literal": class ell is weighted by the bare power rho_j**ell.  Kept
-  callable for audit; with no dependence on n mod j it cannot reproduce the
-  period-j behaviour of a wave and its extraction generally raises
-  NotRational for j > 1.
+  callable for audit; the class values form one cyclotomic number of order
+  j, and with no dependence on n mod j it cannot reproduce the period-j
+  behaviour of a wave, so its extraction generally raises NotRational for
+  j > 1.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ from .exact import (
     NotRational,
     RationalPolynomial,
     bernoulli,
-    root_of_unity,
     stirling_unsigned,
-    to_rational,
 )
 from .partitions import PartsList, denumerant_dp
 from .quasipoly import _box_counts
@@ -81,21 +81,9 @@ def divisor_set(a: PartsList) -> tuple[int, ...]:
 # power sums over the tuple box
 
 
-def _moments_from_counts(counts, scale: int, t_max: int) -> tuple[int, ...]:
-    """Power sums sum(count[s] * s**t) for t = 0..t_max."""
-    sums = [0] * (t_max + 1)
-    for s, c in enumerate(counts):
-        if not c:
-            continue
-        power = 1
-        for t in range(t_max + 1):
-            sums[t] += c * power
-            power *= s
-    return tuple(m * scale for m in sums)
-
-
 def _residue_moments_from_counts(counts, scale: int, j: int, t_max: int):
-    """Power sums as above, split by s mod j; index [residue][t]."""
+    """Power sums scale * sum(count[s] * s**t) for t = 0..t_max, split by
+    s mod j; index [residue][t]."""
     sums = [[0] * (t_max + 1) for _ in range(j)]
     for s, c in enumerate(counts):
         if not c:
@@ -106,11 +94,6 @@ def _residue_moments_from_counts(counts, scale: int, j: int, t_max: int):
             row[t] += c * power
             power *= s
     return tuple(tuple(x * scale for x in row) for row in sums)
-
-
-@lru_cache(maxsize=None)
-def _box_moments(parts: tuple[int, ...], period: int, t_max: int):
-    return _moments_from_counts(_box_counts(parts, period), 1, t_max)
 
 
 @lru_cache(maxsize=None)
@@ -138,34 +121,29 @@ def polynomial_part_average(a: PartsList) -> RationalPolynomial:
     """Polynomial part of the restricted count via the box-average route:
     the congruence-free sum over all residue tuples, expanded exactly."""
     r = len(a.parts)
-    moments = _box_moments(a.parts, a.D, r - 1)
+    (moments,) = _box_residue_moments(a.parts, a.D, 1, r - 1)
     return _poly_from_box_moments(r, a.D, moments)
-
-
-def _compositions(total: int, slots: int):
-    # All tuples of `slots` non-negative integers summing to `total`.
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
 
 
 def polynomial_part_bernoulli(a: PartsList) -> RationalPolynomial:
     """Polynomial part via the Bernoulli-number route: an independent closed
-    form whose coefficients are weighted products of Bernoulli numbers."""
+    form whose coefficients are weighted products of Bernoulli numbers.
+
+    The weighted sum over compositions of u is the x**u coefficient of the
+    product over the parts a_t of sum(B_i * (a_t*x)**i / i!), truncated
+    after degree r-1."""
     parts = a.parts
     r = len(parts)
-    coeffs = [Fraction(0)] * r
-    for u in range(r):
-        acc = Fraction(0)
-        for comp in _compositions(u, r):
-            term = Fraction(1)
-            for i_t, a_t in zip(comp, parts):
-                term *= bernoulli(i_t) * a_t**i_t / math.factorial(i_t)
-            acc += term
-        coeffs[r - 1 - u] = Fraction((-1) ** u, math.factorial(r - 1 - u)) * acc
+    series = [Fraction(1)] + [Fraction(0)] * (r - 1)
+    for a_t in parts:
+        factor = [bernoulli(i) * a_t**i / math.factorial(i) for i in range(r)]
+        series = [
+            sum(series[i] * factor[u - i] for i in range(u + 1)) for u in range(r)
+        ]
+    coeffs = [
+        Fraction((-1) ** (r - 1 - m), math.factorial(m)) * series[r - 1 - m]
+        for m in range(r)
+    ]
     return RationalPolynomial(coeffs) / math.prod(parts)
 
 
@@ -174,52 +152,34 @@ def polynomial_part_bernoulli(a: PartsList) -> RationalPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _literal_weight(j: int, e: int) -> CyclotomicNumber:
-    return root_of_unity(j, e)
+def _ramanujan_sum(j: int, g: int) -> int:
+    """The Ramanujan sum c_j(delta), the sum of rho_j**(nu*delta) over
+    0 <= nu < j with gcd(nu, j) == 1, for any delta with gcd(j, delta) == g.
 
-
-@lru_cache(maxsize=None)
-def _sylvester_weight(j: int, delta: int) -> CyclotomicNumber:
-    """Sum of rho_j**(nu*delta) over 0 <= nu < j with gcd(nu, j) == 1."""
-    acc = CyclotomicNumber.zero(j)
-    for nu in range(j):
-        if math.gcd(nu, j) == 1:
-            acc = acc + root_of_unity(j, nu * delta)
-    return acc
+    It is an integer, from sum(c_e(delta) for e | j) == j * [j | delta]."""
+    total = j if g == j else 0
+    return total - sum(
+        _ramanujan_sum(e, math.gcd(e, g)) for e in range(1, j) if j % e == 0
+    )
 
 
 def _assemble_wave(r: int, D: int, j: int, n: int, res_moments, variant: str) -> Fraction:
-    """Evaluate the wave quadruple sum from per-residue power sums.
+    """Evaluate the wave from per-residue power sums.
 
-    Per congruence class ell the inner triple sum collapses, via the Stirling
-    expansion of the rising product, to a rational combination of the power
-    sums; the class weight is then applied in cyclotomic arithmetic and the
-    total extracted to a rational at the very end.
+    Each congruence class ell modulo j expands, via `_poly_from_box_moments`,
+    to a polynomial in n whose value at n is the class value.  The twisted
+    weights c_j(ell - n) are integers, so the wave is their rational
+    combination; the literal weights rho_j**ell make the class values one
+    cyclotomic number, extracted once.
     """
-    acc = CyclotomicNumber.zero(j)
-    for ell in range(1, j + 1):
-        row = res_moments[ell % j]
-        inner = Fraction(0)
-        n_power = 1
-        for m in range(1, r + 1):
-            for k in range(m - 1, r):
-                t = k - m + 1
-                num = (
-                    stirling_unsigned(r, k + 1)
-                    * ((-1) ** t)
-                    * math.comb(k, m - 1)
-                    * row[t]
-                    * n_power
-                )
-                inner += Fraction(num, D**k)
-            n_power *= n
-        if inner:
-            if variant == TWISTED:
-                weight = _sylvester_weight(j, (ell - n) % j)
-            else:
-                weight = _literal_weight(j, ell % j)
-            acc = acc + weight * inner
-    return to_rational(acc) / (D * math.factorial(r - 1))
+    classes = [_poly_from_box_moments(r, D, row).evaluate(n) for row in res_moments]
+    if variant == TWISTED:
+        return sum(
+            _ramanujan_sum(j, math.gcd(j, ell - n)) * value
+            for ell, value in enumerate(classes)
+        )
+    scale = D * math.factorial(r - 1)
+    return CyclotomicNumber(j, [value * scale for value in classes]).to_rational() / scale
 
 
 def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:

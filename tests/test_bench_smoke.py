@@ -1,0 +1,39 @@
+"""Smoke run of the benchmark workloads: the first block of each seeded
+stream goes through the CLI in-process and is checked by the benchmark's own
+oracle, so the benchmark cannot fall out of step with the program."""
+
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from partwaves.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+oracle = _load("oracle")
+
+
+@pytest.mark.parametrize("name", sorted(workloads.BLOCKS))
+def test_first_block_passes_the_oracle(name):
+    ops = workloads.stream(name, 1)
+    for _ in workloads.BLOCKS[name]:
+        op = next(ops)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(op.argv))
+        problem = oracle.check(op, code, out.getvalue(), err.getvalue())
+        assert problem is None, f"{' '.join(op.argv)[:120]}: {problem}"

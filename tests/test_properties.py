@@ -1,0 +1,63 @@
+"""Property-based checks over random inputs, next to the golden tables."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from partwaves.dary import DAryPartition, poly_part_d_average, poly_part_d_bernoulli
+from partwaves.partitions import PartsList, SubsetProductMap, denumerant_dp, positional_products
+from partwaves.reconstruct import InconsistentData, reconstruct_exponents
+from partwaves.waves import (
+    divisor_set,
+    polynomial_part_average,
+    polynomial_part_bernoulli,
+    wave,
+)
+
+parts_lists = st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True)
+
+
+@settings(deadline=None)
+@given(parts=parts_lists, n=st.integers(0, 40))
+def test_waves_sum_to_count_and_routes_agree(parts, n):
+    a = PartsList(parts)
+    assert sum(wave(j, a, n) for j in divisor_set(a)) == denumerant_dp(a, n)
+    average = polynomial_part_average(a)
+    assert average == polynomial_part_bernoulli(a)
+    assert wave(1, a, n) == average.evaluate(n)
+
+
+@settings(deadline=None)
+@given(d=st.integers(2, 5), k=st.integers(0, 5))
+def test_window_polynomial_part_routes_agree(d, k):
+    assert poly_part_d_average(d, k) == poly_part_d_bernoulli(d, k)
+
+
+@st.composite
+def partitions_and_orders(draw, min_length=2, j_margin=0):
+    ell = draw(st.integers(min_length, 12))
+    exponents = sorted(draw(st.lists(st.integers(0, 8), min_size=ell, max_size=ell)),
+                       reverse=True)
+    j = draw(st.integers(1 + j_margin, ell - 1 - j_margin))
+    return DAryPartition(draw(st.sampled_from((2, 3, 5))), exponents), j
+
+
+@settings(deadline=None)
+@given(case=partitions_and_orders())
+def test_reconstruction_round_trip(case):
+    mu, j = case
+    products = positional_products(mu.to_partition(), j)
+    assert reconstruct_exponents(products, mu.base) == mu
+
+
+@settings(deadline=None)
+@given(case=partitions_and_orders(min_length=4, j_margin=1), data=st.data())
+def test_one_corrupted_product_is_inconsistent(case, data):
+    # For 2 <= j <= ell - 2 the product system is overdetermined and no
+    # exponent vector fits it after any single product is scaled by d.
+    mu, j = case
+    products = dict(positional_products(mu.to_partition(), j).items())
+    target = data.draw(st.sampled_from(sorted(products)))
+    products[target] *= mu.base
+    with pytest.raises(InconsistentData):
+        reconstruct_exponents(SubsetProductMap(mu.length, j, products), mu.base)

@@ -18,6 +18,7 @@ from partwaves.waves import (
     LITERAL,
     TWISTED,
     NotDivisor,
+    _ramanujan_sum,
     divisor_set,
     polynomial_part_average,
     polynomial_part_bernoulli,
@@ -92,6 +93,24 @@ def test_polynomial_part_routes_agree():
         assert polynomial_part_average(a) == polynomial_part_bernoulli(a)
 
 
+def test_polynomial_part_routes_share_no_code(monkeypatch):
+    import partwaves.waves as waves
+
+    def forbidden(*args):
+        raise AssertionError("the two polynomial-part routes must stay independent")
+
+    a = PartsList((2, 3, 5))
+    average = polynomial_part_average(a)
+    bernoulli_route = polynomial_part_bernoulli(a)
+    waves._box_residue_moments.cache_clear()
+    monkeypatch.setattr(waves, "bernoulli", forbidden)
+    assert polynomial_part_average(a) == average
+    monkeypatch.undo()
+    monkeypatch.setattr(waves, "_box_counts", forbidden)
+    monkeypatch.setattr(waves, "_poly_from_box_moments", forbidden)
+    assert polynomial_part_bernoulli(a) == bernoulli_route
+
+
 def test_polynomial_part_matches_brute_expansion():
     for parts in FAMILIES + [(2, 3, 5)]:
         a = PartsList(parts)
@@ -104,6 +123,14 @@ def test_polynomial_part_leading_coefficient():
         r = len(parts)
         expected = Fraction(1, math.factorial(r - 1) * math.prod(parts))
         assert polynomial_part_average(a).leading_coefficient == expected
+
+
+def test_integer_weight_matches_cyclotomic_sum():
+    # includes j with square factors (mu(j) == 0) such as 16, 18 and 36
+    for j in range(1, 40):
+        for ell in range(j):
+            want = to_rational(brute_weight(j, ell, 0, TWISTED))
+            assert _ramanujan_sum(j, math.gcd(j, ell)) == want
 
 
 def test_wave_golden_values():
