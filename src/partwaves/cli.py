@@ -24,7 +24,6 @@ from .dary import (
     NotPowerOfD,
     _powers_list,
     count_dary,
-    dary_divisor_set,
     integer_log,
     poly_part_d_average,
     poly_part_d_bernoulli,
@@ -53,6 +52,7 @@ from .waves import (
     TWISTED,
     divisor_set,
     NotDivisor,
+    _wave_row,
     polynomial_part_average,
     polynomial_part_bernoulli,
     wave,
@@ -233,8 +233,14 @@ def _cmd_poly_part(args):
     return record, header, rows, 0 if agreement else 1
 
 
+def _term_rows(check_rows) -> list[list]:
+    """Table rows n, j, value or error, sum, oracle, agreement per wave term."""
+    return [[row.n, term.j, term.value if term.value is not None else term.error,
+             row.total, row.expected, row.ok]
+            for row in check_rows for term in row.terms]
+
+
 def _cmd_waves(args):
-    variant = args.variant
     n = args.n
     if args.parts is not None:
         if args.d is not None:
@@ -242,56 +248,37 @@ def _cmd_waves(args):
         if n < 0:
             raise ValueError("--n must be non-negative")
         a = PartsList(_parse_int_list(args.parts, "--parts"))
-        divisors = divisor_set(a)
-        oracle = denumerant_dp(a, n)
         inputs = {"parts": list(a.parts), "n": n}
         extra = {"D": a.D}
 
-        def term(j: int) -> Fraction:
-            return wave(j, a, n, variant)
+        def term(j: int, n: int) -> Fraction:
+            return wave(j, a, n, args.variant)
 
     else:
         if args.d is None:
             raise ValueError("need --parts or --d")
         d = args.d
         k = integer_log(d, n)
-        divisors = dary_divisor_set(d, n)
-        oracle = denumerant_dp(_powers_list(d, k), n)
+        a = _powers_list(d, k)
         inputs = {"d": d, "n": n}
-        extra = {"k": k, "D": d**k}
+        extra = {"k": k, "D": a.D}
 
-        def term(j: int) -> Fraction:
-            return wave_d(j, d, n, variant)
+        def term(j: int, n: int) -> Fraction:
+            return wave_d(j, d, n, args.variant)
 
-    table = []
-    total = Fraction(0)
-    broken = False
-    for j in divisors:
-        try:
-            value = term(j)
-        except NotRational as exc:
-            table.append({"j": j, "value": None, "error": str(exc)})
-            broken = True
-        else:
-            table.append({"j": j, "value": value})
-            total += value
-    wave_sum = None if broken else total
-    agreement = (not broken) and total == oracle
-    metadata = {"divisors": list(divisors), **extra, "variant": variant,
-                "sum": wave_sum, "oracle": oracle}
+    row = _wave_row(n, divisor_set(a), term, denumerant_dp(a, n))
+    table = [{"j": t.j, "value": t.value} if t.value is not None
+             else {"j": t.j, "value": None, "error": t.error} for t in row.terms]
     record = {
         "command": "waves",
         "inputs": inputs,
         "result": table,
-        "metadata": metadata,
-        "agreement": agreement,
+        "metadata": {"divisors": [t.j for t in row.terms], **extra,
+                     "variant": args.variant, "sum": row.total, "oracle": row.expected},
+        "agreement": row.ok,
     }
     header = ["n", "j", "value", "sum", "oracle", "agreement"]
-    rows = []
-    for entry in table:
-        cell = entry["value"] if entry["value"] is not None else entry.get("error", "")
-        rows.append([n, entry["j"], cell, wave_sum, oracle, agreement])
-    return record, header, rows, 0 if agreement else 1
+    return record, header, _term_rows([row]), 0 if row.ok else 1
 
 
 def _cmd_presym(args):
@@ -423,11 +410,7 @@ def _cmd_verify(args):
             },
         }
         header = ["n", "j", "value", "total", "expected", "ok"]
-        rows = []
-        for row in report.rows:
-            for term in row.terms:
-                cell = term.value if term.value is not None else term.error
-                rows.append([row.n, term.j, cell, row.total, row.expected, row.ok])
+        rows = _term_rows(report.rows)
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown mode {mode!r}")
     return record, header, rows, 0 if ok else 1
@@ -441,18 +424,21 @@ def _build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default: %(default)s)",
     )
-    common.add_argument(
+    # Only the wave commands read --variant; it stays listed before --seed.
+    wave_common = argparse.ArgumentParser(add_help=False, parents=[common])
+    wave_common.add_argument(
         "--variant",
         choices=(LITERAL, TWISTED),
         default=DEFAULT_VARIANT,
         help="wave weighting variant (default: %(default)s)",
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="rejected if given; every command is deterministic",
-    )
+    for options in (common, wave_common):
+        options.add_argument(
+            "--seed",
+            type=int,
+            default=None,
+            help="rejected if given; every command is deterministic",
+        )
 
     parser = argparse.ArgumentParser(
         prog="partwaves",
@@ -496,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "waves",
-        parents=[common],
+        parents=[wave_common],
         help="wave values at n for every divisor of some part",
     )
     p.add_argument("--parts", help="comma-separated distinct positive parts")
@@ -530,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        parents=[common],
+        parents=[wave_common],
         help="bulk verification sweeps",
     )
     p.add_argument("--mode", choices=("uniqueness", "circulant", "waves"),

@@ -12,7 +12,8 @@ The same variant switch as in `waves` applies here.  Besides the weighting,
 the literal variant also keeps a defective reading of the window sum in
 which the last summand repeats the next-to-last variable with stride
 d**(k-1) and the final variable never enters the sum (for k >= 2); it is
-retained for audit only, and is the one window box built here."""
+retained for audit only, and is the one window box built here; its waves
+come from `waves._build_wave`, built once and evaluated at n."""
 
 from __future__ import annotations
 
@@ -26,9 +27,10 @@ from .waves import (
     DEFAULT_VARIANT,
     LITERAL,
     NotDivisor,
-    _assemble_wave,
+    _build_wave,
     _check_variant,
     _residue_moments_from_counts,
+    divisor_set,
     polynomial_part_average,
     polynomial_part_bernoulli,
     wave,
@@ -171,7 +173,7 @@ def count_dary(d: int, n: int, k: int | None = None) -> int:
     return int(value)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _defective_window_counts(d: int, k: int):
     """Distribution of the defective literal window sum for k >= 2 (see the
     module docstring), kept for audit."""
@@ -182,9 +184,7 @@ def _defective_window_counts(d: int, k: int):
 
 def dary_divisor_set(d: int, n: int) -> tuple[int, ...]:
     """Divisors of d**k for the window k = floor(log_d(n)), ascending."""
-    _check_base(d)
-    period = d ** integer_log(d, n)
-    return tuple(m for m in range(1, period + 1) if period % m == 0)
+    return divisor_set(_powers_list(d, integer_log(d, n)))
 
 
 def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
@@ -206,7 +206,7 @@ def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
     if variant == LITERAL and k >= 2:
         counts, scale = _defective_window_counts(d, k)
         res_moments = _residue_moments_from_counts(counts, scale, j, k)
-        return _assemble_wave(k + 1, period, j, n, res_moments, variant)
+        return _build_wave(k + 1, period, j, res_moments, variant)(n)
     return wave(j, _powers_list(d, k), n, variant)
 
 

@@ -57,7 +57,7 @@ def _sum_value_counts(specs) -> tuple[tuple[int, ...], int]:
     return tuple(counts), scale
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _box_counts(parts: tuple[int, ...], period: int) -> tuple[int, ...]:
     # Distribution of a_1*t_1 + ... + a_r*t_r over 0 <= t_i < D/a_i.
     counts, scale = _sum_value_counts(tuple((p, period // p) for p in parts))

@@ -4,21 +4,23 @@ independent routes to the polynomial part.
 The count p_a(n) splits as a sum of waves W_j(n) over the distinct divisors
 j of the entries of `a`; W_1 is the polynomial part.  The box-tuple sums are
 split into congruence classes modulo j, each class is expanded into a
-polynomial in n, and the classes are combined with a weight per class.
+polynomial in n, and the classes are combined with a weight per class; a
+wave is built once, as a function of n, and evaluated at each n.
 
 Two weightings are exposed:
 
 * "twisted" (default): class ell is weighted by the sum of rho_j**(nu*(ell-n))
   over 0 <= nu < j coprime to j, i.e. the rho_j**(-nu*n) twist from
   Sylvester's classical wave definition applied to each class.  That sum is
-  the Ramanujan sum c_j(ell - n), an integer, so the wave is a sum of
-  rationals.  This variant satisfies the decomposition identity
-  sum_j W_j(n) = p_a(n) exactly.
+  the Ramanujan sum c_j(ell - n), an integer that depends on n only through
+  n mod j, so the wave is a period-j QuasiPolynomial of degree r - 1.  This
+  variant satisfies the decomposition identity sum_j W_j(n) = p_a(n) exactly.
 * "literal": class ell is weighted by the bare power rho_j**ell.  Kept
-  callable for audit; the class values form one cyclotomic number of order
-  j, and with no dependence on n mod j it cannot reproduce the period-j
-  behaviour of a wave, so its extraction generally raises NotRational for
-  j > 1.
+  callable for audit; the class values at n form one cyclotomic number of
+  order j, and with no dependence on n mod j it cannot reproduce the
+  period-j behaviour of a wave, so its extraction generally raises
+  NotRational for j > 2.  At j = 2, rho_2 = -1 is rational and the literal
+  wave is (-1)**n times the twisted one.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .exact import (
     bernoulli,
     stirling_unsigned,
 )
-from .partitions import PartsList, denumerant_dp
-from .quasipoly import _box_counts
+from .partitions import PartsList, denumerant_series
+from .quasipoly import QuasiPolynomial, _box_counts
 
 __all__ = [
     "LITERAL",
@@ -96,7 +98,7 @@ def _residue_moments_from_counts(counts, scale: int, j: int, t_max: int):
     return tuple(tuple(x * scale for x in row) for row in sums)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _box_residue_moments(parts: tuple[int, ...], period: int, j: int, t_max: int):
     return _residue_moments_from_counts(_box_counts(parts, period), 1, j, t_max)
 
@@ -163,23 +165,31 @@ def _ramanujan_sum(j: int, g: int) -> int:
     )
 
 
-def _assemble_wave(r: int, D: int, j: int, n: int, res_moments, variant: str) -> Fraction:
-    """Evaluate the wave from per-residue power sums.
+def _build_wave(r: int, D: int, j: int, res_moments, variant: str):
+    """The wave, as a function of n, from per-residue power sums.
 
-    Each congruence class ell modulo j expands, via `_poly_from_box_moments`,
-    to a polynomial in n whose value at n is the class value.  The twisted
-    weights c_j(ell - n) are integers, so the wave is their rational
-    combination; the literal weights rho_j**ell make the class values one
-    cyclotomic number, extracted once.
+    Class ell modulo j expands, via `_poly_from_box_moments`, to a polynomial
+    in n.  The twisted weight c_j(ell - n) depends on n only through n mod j,
+    so residue c of the wave is one expansion of the moments weighted by the
+    integers c_j(ell - c), and the wave is a period-j QuasiPolynomial.  The
+    literal weights rho_j**ell make the class values at n one cyclotomic
+    number, extracted at each n.
     """
-    classes = [_poly_from_box_moments(r, D, row).evaluate(n) for row in res_moments]
     if variant == TWISTED:
-        return sum(
-            _ramanujan_sum(j, math.gcd(j, ell - n)) * value
-            for ell, value in enumerate(classes)
-        )
+        weights = [(delta, w) for delta in range(j)
+                   if (w := _ramanujan_sum(j, math.gcd(j, delta)))]
+        polys = [
+            _poly_from_box_moments(r, D, [
+                sum(w * res_moments[(c + delta) % j][t] for delta, w in weights)
+                for t in range(r)
+            ])
+            for c in range(j)
+        ]
+        return QuasiPolynomial(j, polys, r - 1).evaluate
+    classes = [_poly_from_box_moments(r, D, row) for row in res_moments]
     scale = D * math.factorial(r - 1)
-    return CyclotomicNumber(j, [value * scale for value in classes]).to_rational() / scale
+    return lambda n: CyclotomicNumber(
+        j, [poly.evaluate(n) * scale for poly in classes]).to_rational() / scale
 
 
 def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
@@ -197,7 +207,7 @@ def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fracti
         raise NotDivisor(f"{j} divides no entry of {a.parts}")
     r = len(a.parts)
     res_moments = _box_residue_moments(a.parts, a.D, j, r - 1)
-    return _assemble_wave(r, a.D, j, n, res_moments, variant)
+    return _build_wave(r, a.D, j, res_moments, variant)(n)
 
 
 @dataclass(frozen=True)
@@ -230,36 +240,40 @@ class WaveDecompositionReport:
         return all(row.ok for row in self.rows)
 
 
+def _wave_row(n: int, divisors, wave_at, expected: int) -> WaveCheckRow:
+    """Sum wave_at(j, n) over the divisors and compare with `expected`; an
+    irrational extraction makes its term an error and the row a failure."""
+    terms = []
+    for j in divisors:
+        try:
+            terms.append(WaveTerm(j, wave_at(j, n)))
+        except NotRational as exc:
+            terms.append(WaveTerm(j, None, str(exc)))
+    if any(term.value is None for term in terms):
+        return WaveCheckRow(n, tuple(terms), None, expected, None, False)
+    total = sum((term.value for term in terms), Fraction(0))
+    residual = total - expected
+    return WaveCheckRow(n, tuple(terms), total, expected, residual, residual == 0)
+
+
 def wave_decomposition_check(
     a: PartsList, n_max: int, variant: str = DEFAULT_VARIANT
 ) -> WaveDecompositionReport:
-    """Check sum of waves over the divisor set against the DP oracle for all
+    """Check sum of waves, each built once, against the DP oracle for all
     n <= n_max.  Failures (including irrational extractions) are data in the
     returned report, never exceptions; rows are in ascending (n, j) order."""
     _check_variant(variant)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     divisors = divisor_set(a)
-    rows = []
-    for n in range(n_max + 1):
-        terms = []
-        total = Fraction(0)
-        broken = False
-        for j in divisors:
-            try:
-                value = wave(j, a, n, variant)
-            except NotRational as exc:
-                terms.append(WaveTerm(j, None, str(exc)))
-                broken = True
-            else:
-                terms.append(WaveTerm(j, value))
-                total += value
-        expected = denumerant_dp(a, n)
-        if broken:
-            rows.append(WaveCheckRow(n, tuple(terms), None, expected, None, False))
-        else:
-            residual = total - expected
-            rows.append(
-                WaveCheckRow(n, tuple(terms), total, expected, residual, residual == 0)
-            )
-    return WaveDecompositionReport(a.parts, n_max, variant, divisors, tuple(rows))
+    r = len(a.parts)
+    built = {
+        j: _build_wave(r, a.D, j, _box_residue_moments(a.parts, a.D, j, r - 1), variant)
+        for j in divisors
+    }
+    expected = denumerant_series(a, n_max)
+    rows = tuple(
+        _wave_row(n, divisors, lambda j, n: built[j](n), expected[n])
+        for n in range(n_max + 1)
+    )
+    return WaveDecompositionReport(a.parts, n_max, variant, divisors, rows)

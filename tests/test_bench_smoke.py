@@ -5,6 +5,7 @@ oracle, so the benchmark cannot fall out of step with the program."""
 import contextlib
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -37,3 +38,14 @@ def test_first_block_passes_the_oracle(name):
             code = main(list(op.argv))
         problem = oracle.check(op, code, out.getvalue(), err.getvalue())
         assert problem is None, f"{' '.join(op.argv)[:120]}: {problem}"
+
+
+def test_every_per_layer_name_resolves(monkeypatch):
+    # BENCHMARK.json names functions of the package; removing or renaming one
+    # of them makes the benchmark's traced runs fail.
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = importlib.import_module("run")
+    spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    names = [metric["name"] for metric in spec["per_layer"]]
+    fake = [{"latency_s": 0.01, "rss_kb": 1000, "problem": None, "calls": {}, "self_ns": {}}]
+    assert set(run.layer_metrics(names, [fake, fake], [fake])) == set(names)

@@ -267,6 +267,12 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, ["count", "--parts", "1,3"])[0] == 2
 
 
+def test_variant_is_only_an_option_of_the_wave_commands(capsys):
+    rc, out, err = run(capsys, ["count", "--parts", "1,3", "--n", "8", "--variant", "literal"])
+    assert rc == 2
+    assert "--variant" in err
+
+
 def test_help_exits_0(capsys):
     rc, out, err = run(capsys, ["--help"])
     assert rc == 0

@@ -5,13 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partwaves.dary import DAryPartition, poly_part_d_average, poly_part_d_bernoulli
+from partwaves.exact import NotRational
 from partwaves.partitions import PartsList, SubsetProductMap, denumerant_dp, positional_products
 from partwaves.reconstruct import InconsistentData, reconstruct_exponents
 from partwaves.waves import (
+    LITERAL,
+    TWISTED,
     divisor_set,
     polynomial_part_average,
     polynomial_part_bernoulli,
     wave,
+    wave_decomposition_check,
 )
 
 parts_lists = st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True)
@@ -25,6 +29,28 @@ def test_waves_sum_to_count_and_routes_agree(parts, n):
     average = polynomial_part_average(a)
     assert average == polynomial_part_bernoulli(a)
     assert wave(1, a, n) == average.evaluate(n)
+
+
+def _wave_or_error(j, a, n, variant):
+    try:
+        return wave(j, a, n, variant)
+    except NotRational as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(parts=parts_lists, n_max=st.integers(0, 30),
+       variant=st.sampled_from((TWISTED, LITERAL)))
+def test_sweep_terms_are_single_waves(parts, n_max, variant):
+    a = PartsList(parts)
+    report = wave_decomposition_check(a, n_max, variant)
+    assert [row.n for row in report.rows] == list(range(n_max + 1))
+    for row in report.rows:
+        assert row.expected == denumerant_dp(a, row.n)
+        assert [term.j for term in row.terms] == list(divisor_set(a))
+        for term in row.terms:
+            got = term.value if term.value is not None else term.error
+            assert got == _wave_or_error(term.j, a, row.n, variant)
 
 
 @settings(deadline=None)

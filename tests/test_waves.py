@@ -177,6 +177,15 @@ def test_literal_variant_matches_brute_including_failures():
                 assert got == want
 
 
+def test_literal_wave_two_is_signed_twisted_wave():
+    # rho_2 = -1 is rational, so the literal j = 2 wave never fails: its
+    # weight (-1)**ell differs from c_2(ell - n) = (-1)**(ell - n) by (-1)**n
+    for parts in [(2,), (1, 2), (2, 3), (1, 2, 4), (2, 5, 6), (3, 4, 7), (1, 6, 8, 9)]:
+        a = PartsList(parts)
+        for n in range(60):
+            assert wave(2, a, n, LITERAL) == (-1) ** n * wave(2, a, n)
+
+
 def test_wave_sum_equals_count():
     for parts in FAMILIES + [(2, 3, 5), (4, 6)]:
         a = PartsList(parts)
@@ -239,6 +248,29 @@ def test_decomposition_check_literal_failures_are_data():
         by_j = {term.j: term for term in row.terms}
         assert by_j[1].value is not None and by_j[1].error == ""
         assert by_j[3].value is None and by_j[3].error
+
+
+@pytest.mark.parametrize("variant", [TWISTED, LITERAL])
+def test_sweep_builds_each_wave_once(monkeypatch, variant):
+    import partwaves.waves as waves
+
+    calls = []
+    expand = waves._poly_from_box_moments
+    monkeypatch.setattr(waves, "_poly_from_box_moments",
+                        lambda *args: calls.append(1) or expand(*args))
+    a = PartsList((3, 4, 6, 10, 12))
+    wave_decomposition_check(a, 80, variant)
+    assert len(calls) <= sum(divisor_set(a)) == 43
+
+
+def test_box_sized_caches_are_bounded():
+    import partwaves.dary as dary
+    import partwaves.quasipoly as quasipoly
+    import partwaves.waves as waves
+
+    for cached in (quasipoly._box_counts, waves._box_residue_moments,
+                   dary._defective_window_counts):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_formula_equals_wave_sum_equals_dp_three_ways():
