@@ -176,7 +176,17 @@ def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
     j = products.order
     if not 1 <= j <= ell - 1:
         raise ValueError(f"reconstruction needs order in 1..{ell - 1}, got {j}")
-    logs = {tup: exponent_of_power(value, d) for tup, value in products.items()}
+    exponent_of, power = {}, 1
+    top = max(value for _, value in products.items())
+    while power <= top:
+        exponent_of[power] = len(exponent_of)
+        power *= d
+    # Any value missing from the table is not a power of d; exponent_of_power
+    # raises NotPowerOfD for it.
+    logs = {
+        tup: exponent_of[value] if value in exponent_of else exponent_of_power(value, d)
+        for tup, value in products.items()
+    }
     rows = [logs[t] for t in _subsystem_tuples(ell, j)]
     # rows[0] is S - e_{j+1} and rows[t] is S - e_t for t = 1..j.
     head = sum(rows[: j + 1])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from partwaves.dary import DAryPartition, poly_part_d_average, poly_part_d_bernoulli
 from partwaves.exact import NotRational
 from partwaves.partitions import PartsList, SubsetProductMap, denumerant_dp, positional_products
+from partwaves.quasipoly import denumerant_formula
 from partwaves.reconstruct import InconsistentData, reconstruct_exponents
 from partwaves.waves import (
     LITERAL,
@@ -29,6 +30,15 @@ def test_waves_sum_to_count_and_routes_agree(parts, n):
     average = polynomial_part_average(a)
     assert average == polynomial_part_bernoulli(a)
     assert wave(1, a, n) == average.evaluate(n)
+
+
+@settings(deadline=None)
+@given(parts=st.lists(st.integers(1, 16), min_size=1, max_size=5, unique=True),
+       data=st.data())
+def test_formula_equals_dp(parts, data):
+    a = PartsList(parts)
+    n = data.draw(st.integers(0, 3 * a.D))
+    assert denumerant_formula(a, n) == denumerant_dp(a, n)
 
 
 def _wave_or_error(j, a, n, variant):

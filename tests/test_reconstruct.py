@@ -160,6 +160,19 @@ def test_reconstruct_not_power_of_d():
         reconstruct_exponents(spm, 2)
 
 
+def test_reconstruct_not_power_of_d_names_the_first_bad_product():
+    # 24 lies between the powers 16 and 32 of the table; 48 is the largest
+    # product; 2 and 8 are powers.
+    for products, bad in [
+        ({(1, 2): 8, (1, 3): 24, (2, 3): 2}, 24),
+        ({(1, 2): 48, (1, 3): 8, (2, 3): 24}, 48),
+        ({(1, 2): 8, (1, 3): 2, (2, 3): 3}, 3),
+    ]:
+        spm = SubsetProductMap(3, 2, products)
+        with pytest.raises(NotPowerOfD, match=f"^{bad} is not a power of 2$"):
+            reconstruct_exponents(spm, 2)
+
+
 def test_reconstruct_rejects_non_integral_solution():
     # logs: x1+x2 = 1, x1+x3 = 0, x2+x3 = 0 forces x1 = 1/2
     spm = SubsetProductMap(3, 2, {(1, 2): 2, (1, 3): 1, (2, 3): 1})
