@@ -12,24 +12,24 @@ The same variant switch as in `waves` applies here.  Besides the weighting,
 the literal variant also keeps a defective reading of the window sum in
 which the last summand repeats the next-to-last variable with stride
 d**(k-1) and the final variable never enters the sum (for k >= 2); it is
-retained for audit only, and is the one window box built here; its waves
-come from `waves._build_wave`, built once and evaluated at n."""
+retained for audit only, as its own list of (stride, count) box specs whose
+residue power sums come from `waves._residue_moments`, like every other
+wave's, and whose waves come from `waves._build_wave`."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import RationalPolynomial
 from .partitions import Partition, PartsList
-from .quasipoly import _sum_value_counts, denumerant_formula
+from .quasipoly import denumerant_formula
 from .waves import (
     DEFAULT_VARIANT,
     LITERAL,
     NotDivisor,
     _build_wave,
     _check_variant,
-    _residue_moments_from_counts,
+    _residue_moments,
     divisor_set,
     polynomial_part_average,
     polynomial_part_bernoulli,
@@ -173,15 +173,6 @@ def count_dary(d: int, n: int, k: int | None = None) -> int:
     return int(value)
 
 
-@lru_cache(maxsize=8)
-def _defective_window_counts(d: int, k: int):
-    """Distribution of the defective literal window sum for k >= 2 (see the
-    module docstring), kept for audit."""
-    specs = tuple((d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k - 1))
-    specs += ((d ** (k - 2) + d ** (k - 1), d * d), (0, d))
-    return _sum_value_counts(specs)
-
-
 def dary_divisor_set(d: int, n: int) -> tuple[int, ...]:
     """Divisors of d**k for the window k = floor(log_d(n)), ascending."""
     return divisor_set(_powers_list(d, integer_log(d, n)))
@@ -204,8 +195,10 @@ def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
     if period % j:
         raise NotDivisor(f"{j} does not divide {d}**{k}")
     if variant == LITERAL and k >= 2:
-        counts, scale = _defective_window_counts(d, k)
-        res_moments = _residue_moments_from_counts(counts, scale, j, k)
+        # The defective window sum of the module docstring, kept for audit.
+        specs = [(d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k - 1)]
+        specs += [(d ** (k - 2) + d ** (k - 1), d * d), (0, d)]
+        res_moments = _residue_moments(specs, j, k)
         return _build_wave(k + 1, period, j, res_moments, variant)(n)
     return wave(j, _powers_list(d, k), n, variant)
 

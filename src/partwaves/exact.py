@@ -56,7 +56,7 @@ def bernoulli(m: int) -> Fraction:
     return _bernoulli_cache[m]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _rising_factorial_coeffs(r: int) -> tuple[int, ...]:
     # Integer coefficients of (n+1)(n+2)...(n+r-1), constant term first.
     coeffs = [1]
@@ -207,7 +207,7 @@ def _poly_mul_int(a, b):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_polynomial(j: int) -> tuple[int, ...]:
     """Integer coefficients of the j-th cyclotomic polynomial, constant first."""
     if j < 1:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import sub
 
@@ -45,33 +44,6 @@ def _spread(counts: list[int], stride: int, count: int) -> list[int]:
             map(sub, chain(cls, repeat(0, count - 1)), chain(repeat(0, count), cls))
         )
     return out
-
-
-def _sum_value_counts(specs) -> tuple[tuple[int, ...], int]:
-    """Distribution of sum(stride_i * t_i) over the box 0 <= t_i < count_i.
-
-    `specs` is a sequence of (stride, count) pairs.  Returns (counts, scale):
-    counts[s] tuples have weighted sum s, each standing for `scale` box
-    tuples (zero-stride coordinates only contribute multiplicity).
-    """
-    scale = 1
-    counts = [1]
-    for stride, count in specs:
-        if count < 1 or stride < 0:
-            raise ValueError("box specs need count >= 1 and stride >= 0")
-        if stride == 0 or count == 1:
-            scale *= count
-            continue
-        counts = _spread(counts, stride, count)
-    return tuple(counts), scale
-
-
-@lru_cache(maxsize=8)
-def _box_counts(parts: tuple[int, ...], period: int) -> tuple[int, ...]:
-    # Distribution of a_1*t_1 + ... + a_r*t_r over 0 <= t_i < D/a_i.
-    counts, scale = _sum_value_counts(tuple((p, period // p) for p in parts))
-    assert scale == 1
-    return counts
 
 
 def denumerant_formula(a: PartsList, n: int) -> Fraction:

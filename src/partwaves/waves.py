@@ -5,7 +5,10 @@ The count p_a(n) splits as a sum of waves W_j(n) over the distinct divisors
 j of the entries of `a`; W_1 is the polynomial part.  The box-tuple sums are
 split into congruence classes modulo j, each class is expanded into a
 polynomial in n, and the classes are combined with a weight per class; a
-wave is built once, as a function of n, and evaluated at each n.
+wave is built once, as a function of n, and evaluated at each n.  A class
+enters only through the power sums of its box sums, and `_residue_moments`
+gets those without building the box, so no wave allocates anything of the
+size of the period D.
 
 Two weightings are exposed:
 
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .exact import (
     CyclotomicNumber,
@@ -38,7 +42,7 @@ from .exact import (
     stirling_unsigned,
 )
 from .partitions import PartsList, denumerant_series
-from .quasipoly import QuasiPolynomial, _box_counts
+from .quasipoly import QuasiPolynomial, _spread
 
 __all__ = [
     "LITERAL",
@@ -83,24 +87,50 @@ def divisor_set(a: PartsList) -> tuple[int, ...]:
 # power sums over the tuple box
 
 
-def _residue_moments_from_counts(counts, scale: int, j: int, t_max: int):
-    """Power sums scale * sum(count[s] * s**t) for t = 0..t_max, split by
-    s mod j; index [residue][t]."""
-    sums = [[0] * (t_max + 1) for _ in range(j)]
-    for s, c in enumerate(counts):
-        if not c:
-            continue
-        row = sums[s % j]
-        power = 1
-        for t in range(t_max + 1):
-            row[t] += c * power
-            power *= s
-    return tuple(tuple(x * scale for x in row) for row in sums)
+def _binomial_convolution(xs, y):
+    """Power sums of v + w, for v with power sums x in xs and w with power
+    sums y: sum C(p, q) * x[q] * y[p - q] over q <= p."""
+    weights = [[math.comb(p, q) * y[p - q] for q in range(p + 1)]
+               for p in range(len(y))]
+    return [[sum(map(mul, x, w)) for w in weights] for x in xs]
 
 
-@lru_cache(maxsize=8)
-def _box_residue_moments(parts: tuple[int, ...], period: int, j: int, t_max: int):
-    return _residue_moments_from_counts(_box_counts(parts, period), 1, j, t_max)
+def _residue_moments(specs, j: int, t_max: int):
+    """Power sums of s**t, t = 0..t_max, over the box of
+    s = sum(stride_i * t_i), 0 <= t_i < count_i, split by s mod j; index
+    [residue][t].
+
+    Each t_i is t0 + m*u with m = j/gcd(stride_i, j), which divides count_i
+    in every box built here (else m = count_i).  The short parts t0 < m fold
+    into a distribution of at most sum(lcm(stride_i, j)) values; the long
+    parts are multiples of j, so they fold into one residue-free vector of
+    power sums, sum(u**q for u < U) = sum_i S(q, i) * i! * C(U, i + 1) with
+    S the Stirling numbers of the second kind."""
+    stirling = [[1]]
+    for _ in range(t_max):
+        row = stirling[-1]
+        stirling.append([i * s + prev for i, (s, prev)
+                         in enumerate(zip(row + [0], [0] + row))])
+    short, long_sums = [1], [1] + [0] * t_max
+    for stride, count in specs:
+        m = j // math.gcd(stride, j)
+        if count % m:
+            m = count
+        if m > 1:
+            short = _spread(short, stride, m)
+        if count > m:
+            basis = [math.factorial(i) * math.comb(count // m, i + 1)
+                     for i in range(t_max + 1)]
+            sums = [(stride * m) ** q * sum(map(mul, row, basis))
+                    for q, row in enumerate(stirling)]
+            (long_sums,) = _binomial_convolution([long_sums], sums)
+    powers = [short]
+    for _ in range(t_max):
+        powers.append(list(map(mul, powers[-1], range(len(short)))))
+    rows = [[sum(column[rho::j]) for column in powers] for rho in range(j)]
+    if long_sums == [1] + [0] * t_max:  # every long part was the single 0
+        return rows
+    return _binomial_convolution(rows, long_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +153,7 @@ def polynomial_part_average(a: PartsList) -> RationalPolynomial:
     """Polynomial part of the restricted count via the box-average route:
     the congruence-free sum over all residue tuples, expanded exactly."""
     r = len(a.parts)
-    (moments,) = _box_residue_moments(a.parts, a.D, 1, r - 1)
+    (moments,) = _residue_moments([(p, a.D // p) for p in a.parts], 1, r - 1)
     return _poly_from_box_moments(r, a.D, moments)
 
 
@@ -153,7 +183,7 @@ def polynomial_part_bernoulli(a: PartsList) -> RationalPolynomial:
 # waves
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _ramanujan_sum(j: int, g: int) -> int:
     """The Ramanujan sum c_j(delta), the sum of rho_j**(nu*delta) over
     0 <= nu < j with gcd(nu, j) == 1, for any delta with gcd(j, delta) == g.
@@ -206,7 +236,7 @@ def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fracti
     if all(p % j for p in a.parts):
         raise NotDivisor(f"{j} divides no entry of {a.parts}")
     r = len(a.parts)
-    res_moments = _box_residue_moments(a.parts, a.D, j, r - 1)
+    res_moments = _residue_moments([(p, a.D // p) for p in a.parts], j, r - 1)
     return _build_wave(r, a.D, j, res_moments, variant)(n)
 
 
@@ -267,8 +297,9 @@ def wave_decomposition_check(
         raise ValueError("n_max must be non-negative")
     divisors = divisor_set(a)
     r = len(a.parts)
+    specs = [(p, a.D // p) for p in a.parts]
     built = {
-        j: _build_wave(r, a.D, j, _box_residue_moments(a.parts, a.D, j, r - 1), variant)
+        j: _build_wave(r, a.D, j, _residue_moments(specs, j, r - 1), variant)
         for j in divisors
     }
     expected = denumerant_series(a, n_max)

@@ -1,9 +1,15 @@
+import importlib
 import math
+import pkgutil
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import partwaves
 from partwaves.exact import (
     CyclotomicNumber,
     NotRational,
@@ -19,6 +25,7 @@ from partwaves.waves import (
     TWISTED,
     NotDivisor,
     _ramanujan_sum,
+    _residue_moments,
     divisor_set,
     polynomial_part_average,
     polynomial_part_bernoulli,
@@ -102,11 +109,10 @@ def test_polynomial_part_routes_share_no_code(monkeypatch):
     a = PartsList((2, 3, 5))
     average = polynomial_part_average(a)
     bernoulli_route = polynomial_part_bernoulli(a)
-    waves._box_residue_moments.cache_clear()
     monkeypatch.setattr(waves, "bernoulli", forbidden)
     assert polynomial_part_average(a) == average
     monkeypatch.undo()
-    monkeypatch.setattr(waves, "_box_counts", forbidden)
+    monkeypatch.setattr(waves, "_residue_moments", forbidden)
     monkeypatch.setattr(waves, "_poly_from_box_moments", forbidden)
     assert polynomial_part_bernoulli(a) == bernoulli_route
 
@@ -263,14 +269,90 @@ def test_sweep_builds_each_wave_once(monkeypatch, variant):
     assert len(calls) <= sum(divisor_set(a)) == 43
 
 
-def test_box_sized_caches_are_bounded():
-    import partwaves.dary as dary
+def test_every_cache_is_bounded():
+    caches = [
+        obj
+        for info in pkgutil.iter_modules(partwaves.__path__)
+        for obj in vars(importlib.import_module(f"partwaves.{info.name}")).values()
+        if hasattr(obj, "cache_info")
+    ]
+    assert caches
+    for cached in caches:
+        assert cached.cache_info().maxsize is not None, cached.__qualname__
+
+
+def brute_residue_moments(specs, j, t_max):
+    """Power sums of the box sum split by residue, from the enumerated box."""
+    counts = Counter(
+        sum(stride * t for (stride, _), t in zip(specs, tup))
+        for tup in product(*(range(count) for _, count in specs))
+    )
+    rows = [[0] * (t_max + 1) for _ in range(j)]
+    for s, c in counts.items():
+        for t in range(t_max + 1):
+            rows[s % j][t] += c * s**t
+    return rows
+
+
+def defective_window_specs(d, k):
+    specs = [(d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k - 1)]
+    return specs + [(d ** (k - 2) + d ** (k - 1), d * d), (0, d)]
+
+
+def test_residue_moments_match_box_enumeration():
+    cases = [
+        [(2, 3), (3, 2)],
+        [(1, 4), (2, 2), (5, 3)],
+        [(0, 3), (2, 4)],  # a zero stride only scales
+        [(3, 1), (1, 5)],  # a count of 1 only scales
+        [(0, 1), (7, 1)],
+        [(6, 2), (4, 3), (1, 2), (0, 2)],
+        [(1, 9), (1, 9), (0, 1)],
+    ]
+    for specs in cases:
+        for j in range(1, 13):
+            assert _residue_moments(specs, j, 3) == brute_residue_moments(specs, j, 3)
+    for d in (2, 3):
+        for k in (3, 4):
+            specs = defective_window_specs(d, k)
+            for j in (j for j in range(1, d**k + 1) if d**k % j == 0):
+                assert _residue_moments(specs, j, k) == brute_residue_moments(specs, j, k)
+
+
+@st.composite
+def small_boxes(draw):
+    """Parts lists with lcm at most 36, so that the box can be enumerated."""
+    base = draw(st.integers(1, 36))
+    divisors = [p for p in range(1, base + 1) if base % p == 0]
+    return PartsList(draw(st.lists(st.sampled_from(divisors), min_size=1,
+                                   max_size=4, unique=True)))
+
+
+@settings(deadline=None)
+@given(a=small_boxes(), t_max=st.integers(0, 4))
+def test_residue_moments_equal_box_enumeration(a, t_max):
+    specs = [(p, a.D // p) for p in a.parts]
+    for j in (j for j in range(1, a.D + 1) if a.D % j == 0):
+        assert _residue_moments(specs, j, t_max) == brute_residue_moments(specs, j, t_max)
+
+
+def test_waves_build_nothing_box_sized(monkeypatch):
     import partwaves.quasipoly as quasipoly
     import partwaves.waves as waves
 
-    for cached in (quasipoly._box_counts, waves._box_residue_moments,
-                   dary._defective_window_counts):
-        assert cached.cache_info().maxsize is not None
+    # Both parts lists have period D = 27720; their boxes are about r * D long.
+    sparse, dense = PartsList((2, 7, 8, 9, 10, 11)), PartsList(tuple(range(1, 13)))
+    spread = quasipoly._spread
+
+    def spy(counts, stride, count):
+        out = spread(counts, stride, count)
+        assert len(out) < sparse.D == dense.D, "a wave built a period-sized list"
+        return out
+
+    for module in (quasipoly, waves):
+        monkeypatch.setattr(module, "_spread", spy)
+    assert wave_decomposition_check(sparse, 30).ok
+    assert sum(wave(j, dense, 1000) for j in divisor_set(dense)) == denumerant_dp(dense, 1000)
 
 
 def test_formula_equals_wave_sum_equals_dp_three_ways():
