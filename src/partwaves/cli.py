@@ -145,6 +145,10 @@ def _parse_products(text: str) -> dict[tuple[int, ...], int]:
             raise ValueError(
                 f"bad product entry {chunk!r}; expected indices:value like '1,2:27'"
             ) from None
+        if indices in products:
+            raise ValueError(
+                f"--products repeats index tuple {','.join(map(str, indices))}"
+            )
         products[indices] = value
     if not products:
         raise ValueError("--products must contain at least one entry")

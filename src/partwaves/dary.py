@@ -18,6 +18,7 @@ wave's, and whose waves come from `waves._build_wave`."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exact import RationalPolynomial
@@ -63,15 +64,11 @@ def _check_base(d: int) -> None:
 def exponent_of_power(value: int, d: int) -> int:
     """The exact exponent e with d**e == value; NotPowerOfD otherwise."""
     _check_base(d)
-    if value < 1:
+    # The only candidate is the rounded logarithm, so one power settles it;
+    # dividing once per exponent is quadratic in the value's length.
+    e = round(math.log(value, d)) if value >= 1 else 0
+    if d**e != value:
         raise NotPowerOfD(f"{value} is not a power of {d}")
-    e = 0
-    v = value
-    while v > 1:
-        v, rem = divmod(v, d)
-        if rem:
-            raise NotPowerOfD(f"{value} is not a power of {d}")
-        e += 1
     return e
 
 

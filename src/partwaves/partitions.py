@@ -112,8 +112,8 @@ class SubsetProductMap:
     tuple of a fixed order mapped to the product of the parts it selects.
 
     Indices are 1-based.  The map is complete: it holds all C(length, order)
-    tuples.  Being position-indexed it is strictly finer than the multiset of
-    products.
+    tuples, in `combinations` order, which is sorted order.  Being
+    position-indexed it is strictly finer than the multiset of products.
     """
 
     __slots__ = ("length", "order", "products")
@@ -123,26 +123,26 @@ class SubsetProductMap:
             raise ValueError("length must be positive")
         if not 1 <= order <= length:
             raise ValueError(f"order must lie in 1..{length}, got {order}")
-        cleaned = {}
-        for key in products:
-            tup = tuple(int(i) for i in key)
-            if len(tup) != order:
-                raise ValueError(f"index tuple {tup} does not have order {order}")
-            if any(not 1 <= i <= length for i in tup):
-                raise ValueError(f"index tuple {tup} leaves 1..{length}")
-            if any(a >= b for a, b in zip(tup, tup[1:])):
-                raise ValueError(f"index tuple {tup} is not strictly increasing")
-            value = int(products[key])
-            if value < 1:
-                raise ValueError("products must be positive")
-            cleaned[tup] = value
-        if len(cleaned) != math.comb(length, order):
-            raise ValueError(
-                f"expected {math.comb(length, order)} index tuples, got {len(cleaned)}"
-            )
+        cleaned = {tuple(map(int, key)): int(value) for key, value in products.items()}
+        if any(value < 1 for value in cleaned.values()):
+            raise ValueError("products must be positive")
+        # A key is valid when 0 < key[0] < ... < key[-1] < length + 1; keys are
+        # checked one by one, so a bad map never builds C(length, order) tuples.
+        for key in cleaned:
+            bounded = (0, *key, length + 1)
+            if len(key) != order or any(a >= b for a, b in zip(bounded, bounded[1:])):
+                raise ValueError(
+                    f"index tuple {key} is not an increasing {order}-tuple "
+                    f"of 1..{length}"
+                )
+        count = math.comb(length, order)
+        if len(cleaned) != count:
+            raise ValueError(f"expected {count} index tuples, got {len(cleaned)}")
         self.length = length
         self.order = order
-        self.products = {key: cleaned[key] for key in sorted(cleaned)}
+        self.products = {
+            key: cleaned[key] for key in combinations(range(1, length + 1), order)
+        }
 
     def __getitem__(self, key):
         return self.products[tuple(key)]

@@ -3,10 +3,13 @@ plus the 0/1 window matrices whose determinants make the reconstruction
 system uniquely solvable.
 
 Taking base-d logarithms turns the positional products into a linear system
-in the exponents.  A square subsystem (initial window, punctured windows,
-sliding windows) has the transpose of `build_c_matrix` as coefficient
-matrix with determinant j, so it pins the exponents down.  It is solved in
-closed form: its first j+1 equations give S - e_t for t = 1..j+1, where
+in the exponents; `exponent_of_power` is taken once per distinct product.
+`_subsystem_tuples` lists the index tuples of one square subsystem (initial
+window, punctured windows, sliding windows), and `build_c_matrix` is the
+transposed incidence matrix of exactly those tuples, so the determinant
+sweep `circulant_det_check` checks the system the solver uses: its
+determinant is j, so it pins the exponents down.  It is solved in closed
+form: its first j+1 equations give S - e_t for t = 1..j+1, where
 S = e_1 + ... + e_{j+1}, so S is their sum divided by j, and each sliding
 window then gives one new exponent.  The solution is validated against
 every remaining equation.
@@ -73,27 +76,31 @@ class IntMatrix:
         return f"IntMatrix({self.entries!r})"
 
 
+def _subsystem_tuples(ell: int, j: int) -> list[tuple[int, ...]]:
+    """The index tuples of the square subsystem, in matrix row order: the
+    initial window 1..j, the punctured windows 1..j+1 without i-1 for
+    2 <= i <= j+1, then the sliding windows i-j+1..i for i > j+1."""
+    rows = [tuple(range(1, j + 1))]
+    for i in range(2, j + 2):
+        rows.append(tuple(t for t in range(1, j + 2) if t != i - 1))
+    for i in range(j + 2, ell + 1):
+        rows.append(tuple(range(i - j + 1, i + 1)))
+    return rows
+
+
 def build_c_matrix(n: int, j: int) -> IntMatrix:
-    """The n x n 0/1 matrix whose columns are the initial window e_1+...+e_j,
-    the punctured windows e_1+...+e_{j+1} - e_{i-1} for 2 <= i <= j+1, and
-    the sliding windows e_{i-j+1}+...+e_i for i > j+1."""
+    """The transposed incidence matrix of `_subsystem_tuples(n, j)`: column
+    i marks the indices of the i-th tuple of the square subsystem that
+    `reconstruct_exponents` solves."""
     if n < 2:
         raise ValueError("matrix size must be at least 2")
     if not 1 <= j <= n - 1:
         raise ValueError(f"window width must lie in 1..{n - 1}, got {j}")
     cols = []
-    for i in range(1, n + 1):
+    for tup in _subsystem_tuples(n, j):
         col = [0] * n
-        if i == 1:
-            for t in range(1, j + 1):
-                col[t - 1] = 1
-        elif i <= j + 1:
-            for t in range(1, j + 2):
-                col[t - 1] = 1
-            col[i - 2] = 0
-        else:
-            for t in range(i - j + 1, i + 1):
-                col[t - 1] = 1
+        for t in tup:
+            col[t - 1] = 1
         cols.append(col)
     return IntMatrix(tuple(zip(*cols)))
 
@@ -152,17 +159,6 @@ def circulant_det_check(n_max: int) -> CirculantReport:
     return CirculantReport(n_max, tuple(rows))
 
 
-def _subsystem_tuples(ell: int, j: int) -> list[tuple[int, ...]]:
-    """The index tuples of the square subsystem, in matrix row order:
-    initial window, punctured windows, then sliding windows."""
-    rows = [tuple(range(1, j + 1))]
-    for i in range(2, j + 2):
-        rows.append(tuple(t for t in range(1, j + 2) if t != i - 1))
-    for i in range(j + 2, ell + 1):
-        rows.append(tuple(range(i - j + 1, i + 1)))
-    return rows
-
-
 def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
     """Recover the d-ary partition whose positional products are given.
 
@@ -176,17 +172,13 @@ def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
     j = products.order
     if not 1 <= j <= ell - 1:
         raise ValueError(f"reconstruction needs order in 1..{ell - 1}, got {j}")
-    exponent_of, power = {}, 1
-    top = max(value for _, value in products.items())
-    while power <= top:
-        exponent_of[power] = len(exponent_of)
-        power *= d
-    # Any value missing from the table is not a power of d; exponent_of_power
-    # raises NotPowerOfD for it.
-    logs = {
-        tup: exponent_of[value] if value in exponent_of else exponent_of_power(value, d)
-        for tup, value in products.items()
+    # One exponent_of_power per distinct value, in item order, so that
+    # NotPowerOfD names the first bad product.
+    exponent_of = {
+        value: exponent_of_power(value, d)
+        for value in dict.fromkeys(value for _, value in products.items())
     }
+    logs = {tup: exponent_of[value] for tup, value in products.items()}
     rows = [logs[t] for t in _subsystem_tuples(ell, j)]
     # rows[0] is S - e_{j+1} and rows[t] is S - e_t for t = 1..j.
     head = sum(rows[: j + 1])

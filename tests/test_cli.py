@@ -202,6 +202,23 @@ def test_reconstruct_incomplete_products_exit_2(capsys):
         capsys, ["reconstruct", "--products", "1,2:27", "--d", "3", "--j", "2"]
     )
     assert rc == 2
+    # A large index or order is refused without enumerating C(length, order).
+    for products, j in (("1:2;60:1", "30"), ("1:2;1000000000:1", "1")):
+        rc, out, err = run(
+            capsys, ["reconstruct", "--products", products, "--d", "2", "--j", j]
+        )
+        assert rc == 2
+
+
+def test_reconstruct_repeated_index_tuple_exit_2(capsys):
+    rc, out, err = run(
+        capsys,
+        ["reconstruct", "--products", "1,2:27;1,3:9;2,3:3; 1, 2:81",
+         "--d", "3", "--j", "2"],
+    )
+    assert rc == 2
+    assert out == ""
+    assert "repeats index tuple 1,2" in err
 
 
 def test_verify_circulant(capsys):

@@ -58,6 +58,9 @@ def test_exponent_of_power():
     assert exponent_of_power(1, 3) == 0
     assert exponent_of_power(27, 3) == 3
     assert exponent_of_power(1024, 2) == 10
+    assert exponent_of_power(7**5000, 7) == 5000
+    with pytest.raises(NotPowerOfD):
+        exponent_of_power(7**5000 + 1, 7)
     with pytest.raises(NotPowerOfD):
         exponent_of_power(12, 2)
     with pytest.raises(NotPowerOfD):

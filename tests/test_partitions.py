@@ -166,14 +166,22 @@ def test_subset_product_map_validation():
     assert dict(spm.items()) == good
     with pytest.raises(ValueError):
         SubsetProductMap(3, 2, {(1, 2): 6, (1, 3): 3})  # incomplete
-    with pytest.raises(ValueError):
+    stray = r"index tuple \(2, 1\) is not an increasing 2-tuple of 1\.\.3"
+    with pytest.raises(ValueError, match=stray):
         SubsetProductMap(3, 2, {**good, (2, 1): 5})  # not increasing
+    with pytest.raises(ValueError, match=r"index tuple \(1, 1\)"):
+        SubsetProductMap(3, 2, {**good, (1, 1): 5})  # repeated index
     with pytest.raises(ValueError):
         SubsetProductMap(3, 2, {**good, (1, 4): 5})  # out of range
     with pytest.raises(ValueError):
         SubsetProductMap(3, 2, {(1, 2): 6, (1, 3): 0, (2, 3): 2})  # non-positive
     with pytest.raises(ValueError):
         SubsetProductMap(3, 4, good)  # order out of range
+    # Keys are checked before anything of size C(60, 30) is built.
+    with pytest.raises(ValueError, match=r"index tuple \(1,\) is not an increasing 30"):
+        SubsetProductMap(60, 30, {(1,): 2, (60,): 1})
+    with pytest.raises(ValueError, match="expected 118264581564861424 index tuples, got 1"):
+        SubsetProductMap(60, 30, {tuple(range(1, 31)): 2})
 
 
 def test_subset_product_map_items_sorted():
@@ -181,3 +189,7 @@ def test_subset_product_map_items_sorted():
     spm = positional_products(lam, 2)
     keys = [key for key, _ in spm.items()]
     assert keys == sorted(combinations(range(1, 5), 2))
+    reversed_map = SubsetProductMap(4, 2, dict(reversed(list(spm.items()))))
+    keys = [key for key, _ in reversed_map.items()]
+    assert keys == list(combinations(range(1, 5), 2))
+    assert reversed_map == spm

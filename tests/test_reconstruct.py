@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -171,6 +172,18 @@ def test_reconstruct_not_power_of_d_names_the_first_bad_product():
         spm = SubsetProductMap(3, 2, products)
         with pytest.raises(NotPowerOfD, match=f"^{bad} is not a power of 2$"):
             reconstruct_exponents(spm, 2)
+
+
+def test_reconstruct_large_product_stays_small_in_memory():
+    spm = SubsetProductMap(2, 1, {(1,): 2**20000, (2,): 1})
+    tracemalloc.start()
+    try:
+        mu = reconstruct_exponents(spm, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mu.exponents == (20000, 0)
+    assert peak < 1 << 20
 
 
 def test_reconstruct_rejects_non_integral_solution():

@@ -1,0 +1,191 @@
+"""Compare the CLI of two partwaves source trees, argv by argv.
+
+Usage:
+    python tools/cli_diff.py PARENT_SRC CHANGE_SRC
+
+Each SRC is a directory holding the `partwaves` package (a checkout's
+`src/`).  A fixed list of argv vectors is run through `partwaves.cli.main`
+once per tree, each tree in its own subprocess, and every argv whose stdout,
+stderr or exit code differ between the trees is listed.  The list covers
+every subcommand in all three formats, both wave variants, the `--parts`
+and `--d` forms, usage errors, and valid, corrupted, not-a-power and
+malformed `reconstruct` inputs.
+
+Exit code 0 when every argv agrees, 1 when any differs, 2 on bad usage.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+FORMATS = ("text", "json", "csv")
+VARIANTS = ("twisted", "literal")
+
+
+def _reconstruct(products: str, d: int = 3, j: int = 2) -> list[str]:
+    return ["reconstruct", "--products", products, "--d", str(d), "--j", str(j)]
+
+
+def argv_list() -> list[list[str]]:
+    """Every argv the comparison runs, in a fixed order."""
+    formatted = [
+        ["count", "--parts", "1,3", "--n", "8"],
+        ["count", "--parts", "2,3,5", "--n", "0"],
+        ["count", "--parts", "2,4", "--n", "7"],
+        ["dary-count", "--d", "3", "--n", "20"],
+        ["dary-count", "--d", "2", "--n", "100"],
+        ["poly-part", "--parts", "1,2,3"],
+        ["poly-part", "--parts", "2,3,5", "--at", "17"],
+        ["poly-part", "--d", "2", "--k", "3"],
+        ["poly-part", "--d", "3", "--k", "2", "--at", "10"],
+        ["presym", "--partition", "4,2,1,1", "--j", "2"],
+        ["presym", "--partition", "3,2,1", "--j", "3"],
+        _reconstruct("1,2:27;1,3:9;2,3:3"),
+        _reconstruct("1,2:8;1,3:4;1,4:2;2,3:4;2,4:2;3,4:1", d=2),
+        _reconstruct("1,2,3:8;1,2,4:8;1,3,4:4;2,3,4:4", d=2, j=3),
+        _reconstruct("1:25;2:5;3:1", d=5, j=1),
+        ["verify", "--mode", "circulant", "--n-max", "6"],
+        ["verify", "--mode", "uniqueness", "--d", "2", "--ell", "4",
+         "--max-exp", "2", "--j", "2"],
+    ]
+    wave_commands = [
+        ["waves", "--parts", "1,2,4", "--n", "9"],
+        ["waves", "--parts", "1,3", "--n", "10"],
+        ["waves", "--parts", "2,3,5", "--n", "31"],
+        ["waves", "--d", "2", "--n", "12"],
+        ["waves", "--d", "3", "--n", "20"],
+        ["verify", "--mode", "waves", "--parts", "1,2,4", "--n-max", "12"],
+        ["verify", "--mode", "waves", "--parts", "1,3", "--n-max", "10"],
+    ]
+    failing = [
+        # not a power of d
+        _reconstruct("1,2:27;1,3:9;2,3:3", d=2),
+        _reconstruct("1,2:8;1,3:24;2,3:2", d=2),
+        # corrupted: no d-ary partition has these products
+        _reconstruct("1,2:2;1,3:1;2,3:1", d=2),
+        _reconstruct("1,2:1;1,3:1;2,3:4", d=2),
+        _reconstruct("1,2:2;1,3:2;2,3:4", d=2),
+        _reconstruct("1,2:8;1,3:4;1,4:2;2,3:4;2,4:4;3,4:1", d=2),
+        # malformed products
+        _reconstruct("1,2:27"),
+        _reconstruct("1,2:27;1,3:9;2,3:0"),
+        _reconstruct("1,2:27;1,3:9;2,3:3;2,1:5"),
+        _reconstruct("1,2:27;1,3:9;2,3:3;1,1:5"),
+        _reconstruct("1,2:27;1,3:9;2,3:3;1,2,3:5"),
+        _reconstruct("1,2:27;1,3:9;2,3:3;0,1:5"),
+        _reconstruct("1,2:27;1,3:9;2,3:3;1,2:81"),
+        _reconstruct("1,2:27;1,3:9;2,3:3; 1, 2:27"),
+        _reconstruct("1,2:27;1,3:9;x"),
+        _reconstruct("1,2:27;1,3:nine;2,3:3"),
+        _reconstruct(";;"),
+        _reconstruct("1,2:27;1,3:9;2,3:3", d=1),
+        _reconstruct("1,2:27;1,3:9;2,3:3", j=3),
+        _reconstruct("1,2:27;1,3:9;2,3:3", j=0),
+        # large index, order and product
+        _reconstruct("1:2;60:1", d=2, j=30),
+        _reconstruct("1:2;1000000000:1", d=2, j=1),
+        _reconstruct(f"1:{2**3000};2:1", d=2, j=1),
+        _reconstruct(f"1:{2**3000 + 1};2:1", d=2, j=1),
+        # other usage and data errors
+        ["count", "--parts", "1,x", "--n", "8"],
+        ["count", "--parts", "1,1", "--n", "8"],
+        ["count", "--parts", "1,3", "--n", "-1"],
+        ["dary-count", "--d", "1", "--n", "5"],
+        ["poly-part"],
+        ["poly-part", "--parts", "1,2", "--d", "2", "--k", "1"],
+        ["poly-part", "--d", "2", "--k", "-1"],
+        ["waves", "--n", "5"],
+        ["waves", "--parts", "1,2", "--d", "2", "--n", "5"],
+        ["presym", "--partition", "1,2", "--j", "1"],
+        ["presym", "--partition", "2,1", "--j", "3"],
+        ["verify", "--mode", "uniqueness"],
+        ["verify", "--mode", "waves"],
+        ["verify", "--mode", "circulant", "--n-max", "1"],
+    ]
+    usage = [
+        [],
+        ["--help"],
+        ["reconstruct", "--help"],
+        ["no-such-command"],
+        ["count", "--parts", "1,3"],
+        ["count", "--parts", "1,3", "--n", "8", "--seed", "5"],
+        ["count", "--parts", "1,3", "--n", "8", "--variant", "literal"],
+        ["count", "--parts", "1,3", "--n", "8", "--format", "xml"],
+        ["waves", "--parts", "1,3", "--n", "8", "--variant", "other"],
+    ]
+    argvs = [argv + ["--format", fmt] for argv in formatted for fmt in FORMATS]
+    argvs += [
+        argv + ["--variant", variant, "--format", fmt]
+        for argv in wave_commands
+        for variant in VARIANTS
+        for fmt in FORMATS
+    ]
+    argvs += failing + [argv + ["--format", "json"] for argv in failing]
+    return argvs + usage
+
+
+# Run in a subprocess with the source tree first on sys.path: read the argv
+# list as JSON on stdin, write [stdout, stderr, exit code] per argv as JSON.
+_WORKER = """
+import contextlib, io, json, os, sys
+src = os.path.abspath(sys.argv[1])
+sys.path.insert(0, src)
+import partwaves.cli
+if not os.path.abspath(partwaves.cli.__file__).startswith(src + os.sep):
+    sys.exit(f"partwaves was imported from {partwaves.cli.__file__}, not {src}")
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = partwaves.cli.main(argv)
+    results.append([out.getvalue(), err.getvalue(), code])
+json.dump(results, sys.stdout)
+"""
+
+
+def run_tree(src: str, argvs: list[list[str]]) -> list[list]:
+    """[stdout, stderr, exit code] of every argv under the tree `src`."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER, src],
+        input=json.dumps(argvs),
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    if proc.returncode:
+        raise RuntimeError(f"running the CLI from {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python tools/cli_diff.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    argvs = argv_list()
+    parent, change = (run_tree(src, argvs) for src in args)
+    differing = 0
+    for argv, old, new in zip(argvs, parent, change):
+        fields = [
+            name
+            for name, a, b in zip(("stdout", "stderr", "exit code"), old, new)
+            if a != b
+        ]
+        if not fields:
+            continue
+        differing += 1
+        print(f"DIFF {json.dumps(argv)}: {', '.join(fields)}")
+        for name, a, b in zip(("stdout", "stderr", "exit code"), old, new):
+            if name in fields:
+                print(f"  parent {name}: {a!r}")
+                print(f"  change {name}: {b!r}")
+    print(f"{len(argvs)} argv compared, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
