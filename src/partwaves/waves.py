@@ -16,8 +16,11 @@ Two weightings are exposed:
   over 0 <= nu < j coprime to j, i.e. the rho_j**(-nu*n) twist from
   Sylvester's classical wave definition applied to each class.  That sum is
   the Ramanujan sum c_j(ell - n), an integer that depends on n only through
-  n mod j, so the wave is a period-j QuasiPolynomial of degree r - 1.  This
-  variant satisfies the decomposition identity sum_j W_j(n) = p_a(n) exactly.
+  n mod j, so the wave is a period-j quasi-polynomial of degree r - 1.  The
+  residue polynomial of a class is expanded the first time the wave is
+  evaluated at an n of that class: one evaluation expands one class, and a
+  sweep over n expands each class once.  This variant satisfies the
+  decomposition identity sum_j W_j(n) = p_a(n) exactly.
 * "literal": class ell is weighted by the bare power rho_j**ell.  Kept
   callable for audit; the class values at n form one cyclotomic number of
   order j, and with no dependence on n mod j it cannot reproduce the
@@ -42,7 +45,7 @@ from .exact import (
     stirling_unsigned,
 )
 from .partitions import PartsList, denumerant_series
-from .quasipoly import QuasiPolynomial, _spread
+from .quasipoly import _spread
 
 __all__ = [
     "LITERAL",
@@ -77,9 +80,9 @@ def divisor_set(a: PartsList) -> tuple[int, ...]:
     """Distinct divisors of the entries of `a`, ascending."""
     ds = set()
     for p in a.parts:
-        for d in range(1, p + 1):
+        for d in range(1, math.isqrt(p) + 1):
             if p % d == 0:
-                ds.add(d)
+                ds.update((d, p // d))
     return tuple(sorted(ds))
 
 
@@ -201,21 +204,24 @@ def _build_wave(r: int, D: int, j: int, res_moments, variant: str):
     Class ell modulo j expands, via `_poly_from_box_moments`, to a polynomial
     in n.  The twisted weight c_j(ell - n) depends on n only through n mod j,
     so residue c of the wave is one expansion of the moments weighted by the
-    integers c_j(ell - c), and the wave is a period-j QuasiPolynomial.  The
-    literal weights rho_j**ell make the class values at n one cyclotomic
-    number, extracted at each n.
+    integers c_j(ell - c).  That expansion is made the first time the wave is
+    evaluated at an n with n mod j == c and kept for later n of the class:
+    one evaluation expands one class, and a sweep over n expands each class
+    once.  The literal weights rho_j**ell make the class values at n one
+    cyclotomic number, extracted at each n, so every class is expanded.
     """
     if variant == TWISTED:
         weights = [(delta, w) for delta in range(j)
                    if (w := _ramanujan_sum(j, math.gcd(j, delta)))]
-        polys = [
-            _poly_from_box_moments(r, D, [
+
+        @lru_cache(maxsize=j)
+        def residue_poly(c: int) -> RationalPolynomial:
+            return _poly_from_box_moments(r, D, [
                 sum(w * res_moments[(c + delta) % j][t] for delta, w in weights)
                 for t in range(r)
             ])
-            for c in range(j)
-        ]
-        return QuasiPolynomial(j, polys, r - 1).evaluate
+
+        return lambda n: residue_poly(n % j).evaluate(n)
     classes = [_poly_from_box_moments(r, D, row) for row in res_moments]
     scale = D * math.factorial(r - 1)
     return lambda n: CyclotomicNumber(

@@ -193,10 +193,13 @@ def test_wave_d_literal_variant():
 
 
 def test_wave_d_sum_equals_count():
-    for d in (2, 3):
-        for n in range(1, 61):
-            total = sum(wave_d(j, d, n) for j in dary_divisor_set(d, n))
-            assert total == count_dary(d, n)
+    cases = [(d, n) for d in (2, 3) for n in range(1, 61)]
+    # windows the wave-tables benchmark leaves out: D = 2**9 and D = 5**3
+    cases += [(2, 1000), (5, 300)]
+    for d, n in cases:
+        total = sum(wave_d(j, d, n) for j in dary_divisor_set(d, n))
+        a = window(d, integer_log(d, n))
+        assert total == count_dary(d, n) == denumerant_dp(a, n)
 
 
 def test_wave_d_validation():

@@ -84,6 +84,14 @@ def test_divisor_set():
     assert divisor_set(PartsList((1, 2, 4))) == (1, 2, 4)
 
 
+@given(parts=st.lists(st.one_of(st.integers(1, 10**4),
+                                st.integers(1, 100).map(lambda x: x * x)),
+                      min_size=1, max_size=6, unique=True))
+def test_divisor_set_matches_definition(parts):
+    want = tuple(d for d in range(1, max(parts) + 1) if any(p % d == 0 for p in parts))
+    assert divisor_set(PartsList(parts)) == want
+
+
 def test_polynomial_part_golden():
     p13 = polynomial_part_average(PartsList((1, 3)))
     assert p13.evaluate(8) == Fraction(10, 3)
@@ -267,6 +275,51 @@ def test_sweep_builds_each_wave_once(monkeypatch, variant):
     a = PartsList((3, 4, 6, 10, 12))
     wave_decomposition_check(a, 80, variant)
     assert len(calls) <= sum(divisor_set(a)) == 43
+
+
+def test_single_wave_expands_one_class(monkeypatch):
+    import partwaves.waves as waves
+    from partwaves.cli import main
+
+    calls = []
+    expand = waves._poly_from_box_moments
+    monkeypatch.setattr(waves, "_poly_from_box_moments",
+                        lambda *args: calls.append(1) or expand(*args))
+    binary = PartsList(tuple(2**i for i in range(7)))
+    assert len(divisor_set(binary)) == 7
+    # one residue class of each wave is expanded, not all j of them
+    for argv, a in [
+        (["waves", "--d", "2", "--n", "100"], binary),
+        (["waves", "--parts", "3,4,10", "--n", "700"], PartsList((3, 4, 10))),
+    ]:
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == len(divisor_set(a))
+
+
+def box_size(parts):
+    return math.prod(math.lcm(*parts) // p for p in parts)
+
+
+@settings(deadline=None, max_examples=30)
+@given(parts=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True)
+       .filter(lambda parts: box_size(parts) <= 200),
+       data=st.data())
+def test_built_wave_keeps_each_class_apart(parts, data):
+    import partwaves.waves as waves
+
+    a = PartsList(parts)
+    r = len(parts)
+    specs = [(p, a.D // p) for p in parts]
+    for j in divisor_set(a):
+        built = waves._build_wave(r, a.D, j, _residue_moments(specs, j, r - 1), TWISTED)
+        ns = data.draw(st.lists(st.integers(0, 3 * j), min_size=1, max_size=4))
+        ns.append(data.draw(st.integers(0, j - 1)))
+        brute = {n: brute_wave(j, a, n) for n in ns}
+        # repeats and a shuffled order: a class expanded at one n must serve
+        # every later n of that class and no other
+        for n in data.draw(st.permutations(ns + ns)):
+            assert built(n) == wave(j, a, n) == brute[n]
 
 
 def test_every_cache_is_bounded():

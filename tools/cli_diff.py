@@ -8,8 +8,8 @@ Each SRC is a directory holding the `partwaves` package (a checkout's
 once per tree, each tree in its own subprocess, and every argv whose stdout,
 stderr or exit code differ between the trees is listed.  The list covers
 every subcommand in all three formats, both wave variants, the `--parts`
-and `--d` forms, usage errors, and valid, corrupted, not-a-power and
-malformed `reconstruct` inputs.
+and `--d` forms, wave tables at n below j and at D up to 512, usage errors,
+and valid, corrupted, not-a-power and malformed `reconstruct` inputs.
 
 Exit code 0 when every argv agrees, 1 when any differs, 2 on bad usage.
 """
@@ -59,6 +59,19 @@ def argv_list() -> list[list[str]]:
         ["waves", "--d", "3", "--n", "20"],
         ["verify", "--mode", "waves", "--parts", "1,2,4", "--n-max", "12"],
         ["verify", "--mode", "waves", "--parts", "1,3", "--n-max", "10"],
+    ]
+    # One wave evaluation expands only the residue class of n; these reach
+    # that path at D = 64, 512 and 125, at n below j, and in the literal
+    # variant, which expands every class.
+    single_waves = [
+        ["waves", "--d", "2", "--n", "100", "--format", fmt] for fmt in FORMATS
+    ] + [
+        ["waves", "--d", "2", "--n", "1000"],
+        ["waves", "--d", "5", "--n", "300"],
+        ["waves", "--d", "3", "--n", "50", "--variant", "literal"],
+        ["waves", "--parts", "3,6,7", "--n", "700"],
+        ["waves", "--parts", "2,3,9", "--n", "0"],
+        ["waves", "--parts", "2,3,9", "--n", "5"],
     ]
     failing = [
         # not a power of d
@@ -123,6 +136,7 @@ def argv_list() -> list[list[str]]:
         for variant in VARIANTS
         for fmt in FORMATS
     ]
+    argvs += single_waves
     argvs += failing + [argv + ["--format", "json"] for argv in failing]
     return argvs + usage
 
