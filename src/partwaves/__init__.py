@@ -7,139 +7,27 @@ formula, its polynomial part (by two independent routes), the wave
 decomposition over divisors, the base-d specialisations, and the
 reconstruction of a base-d partition from positional products are all
 cross-checked against brute-force oracles in the test suite.
+
+Each module's `__all__` lists the public names it defines; the package
+re-exports them in module order.
 """
 
-from .exact import (
-    CyclotomicNumber,
-    NotRational,
-    RationalPolynomial,
-    bernoulli,
-    cyclotomic_polynomial,
-    interpolate,
-    root_of_unity,
-    stirling_unsigned,
-    to_rational,
-)
-from .partitions import (
-    Partition,
-    PartsList,
-    SubsetProductMap,
-    denumerant_dp,
-    denumerant_series,
-    elementary_symmetric_partition,
-    elementary_symmetric_value,
-    enumerate_restricted,
-    positional_products,
-)
-from .quasipoly import (
-    QuasiPolynomial,
-    VerificationFailed,
-    denumerant_formula,
-    fit_quasipolynomial,
-)
-from .waves import (
-    DEFAULT_VARIANT,
-    LITERAL,
-    TWISTED,
-    NotDivisor,
-    WaveCheckRow,
-    WaveDecompositionReport,
-    WaveTerm,
-    divisor_set,
-    polynomial_part_average,
-    polynomial_part_bernoulli,
-    wave,
-    wave_decomposition_check,
-)
-from .dary import (
-    DAryPartition,
-    NotPowerOfD,
-    count_dary,
-    dary_divisor_set,
-    exp_d,
-    exponent_of_power,
-    integer_log,
-    log_d,
-    poly_part_d_average,
-    poly_part_d_bernoulli,
-    wave_d,
-)
-from .reconstruct import (
-    CirculantReport,
-    CirculantRow,
-    InconsistentData,
-    IntMatrix,
-    UniquenessReport,
-    build_c_matrix,
-    circulant_det_check,
-    det_exact,
-    reconstruct_exponents,
-    verify_uniqueness,
-)
+from . import dary, exact, partitions, quasipoly, reconstruct, waves
+from .exact import *
+from .partitions import *
+from .quasipoly import *
+from .waves import *
+from .dary import *
+from .reconstruct import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # exact arithmetic
-    "NotRational",
-    "RationalPolynomial",
-    "CyclotomicNumber",
-    "bernoulli",
-    "stirling_unsigned",
-    "cyclotomic_polynomial",
-    "root_of_unity",
-    "to_rational",
-    "interpolate",
-    # partitions
-    "Partition",
-    "PartsList",
-    "SubsetProductMap",
-    "enumerate_restricted",
-    "denumerant_series",
-    "denumerant_dp",
-    "elementary_symmetric_value",
-    "elementary_symmetric_partition",
-    "positional_products",
-    # counting formula and quasi-polynomials
-    "VerificationFailed",
-    "QuasiPolynomial",
-    "denumerant_formula",
-    "fit_quasipolynomial",
-    # waves
-    "LITERAL",
-    "TWISTED",
-    "DEFAULT_VARIANT",
-    "NotDivisor",
-    "divisor_set",
-    "polynomial_part_average",
-    "polynomial_part_bernoulli",
-    "wave",
-    "wave_decomposition_check",
-    "WaveTerm",
-    "WaveCheckRow",
-    "WaveDecompositionReport",
-    # base-d partitions
-    "DAryPartition",
-    "NotPowerOfD",
-    "exponent_of_power",
-    "exp_d",
-    "log_d",
-    "integer_log",
-    "count_dary",
-    "wave_d",
-    "dary_divisor_set",
-    "poly_part_d_average",
-    "poly_part_d_bernoulli",
-    # reconstruction
-    "InconsistentData",
-    "IntMatrix",
-    "build_c_matrix",
-    "det_exact",
-    "circulant_det_check",
-    "CirculantRow",
-    "CirculantReport",
-    "reconstruct_exponents",
-    "verify_uniqueness",
-    "UniquenessReport",
+    *exact.__all__,
+    *partitions.__all__,
+    *quasipoly.__all__,
+    *waves.__all__,
+    *dary.__all__,
+    *reconstruct.__all__,
 ]

@@ -62,20 +62,15 @@ from .waves import (
 __all__ = ["main"]
 
 
-def _render(value):
-    """Make a record JSON-ready: fractions become ints or 'p/q' strings."""
+def _json_fraction(value):
+    """JSON form of a Fraction: an int when integral, else a 'p/q' string."""
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {key: _render(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_render(v) for v in value]
-    return value
+        return int(value) if value.denominator == 1 else str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _scalar(value) -> str:
+    """Text and csv form of a value; str() of a Fraction is 'p/q' or an int."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -106,16 +101,15 @@ def _text_lines(record) -> list[str]:
 
 
 def _emit(record, header, rows, fmt: str) -> None:
-    rendered = _render(record)
     if fmt == "json":
-        print(json.dumps(rendered, separators=(",", ":")))
+        print(json.dumps(record, separators=(",", ":"), default=_json_fraction))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_scalar(_render(cell)) for cell in row])
+            writer.writerow([_scalar(cell) for cell in row])
     else:
-        for line in _text_lines(rendered):
+        for line in _text_lines(record):
             print(line)
 
 

@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from .dary import DAryPartition, NotPowerOfD, exponent_of_power
+# NotPowerOfD is imported for callers that catch it from this module; dary
+# defines and lists it.
+from .dary import DAryPartition, NotPowerOfD, _check_base, exponent_of_power
 from .partitions import SubsetProductMap
 
 __all__ = [
     "InconsistentData",
-    "NotPowerOfD",
     "IntMatrix",
     "build_c_matrix",
     "det_exact",
@@ -166,8 +167,7 @@ def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
     InconsistentData if the first j+1 subsystem equations do not sum to a
     multiple of j, or if the solved exponents are negative, increasing, or
     violate any equation of the full product system."""
-    if d < 2:
-        raise ValueError("base must be at least 2")
+    _check_base(d)
     ell = products.length
     j = products.order
     if not 1 <= j <= ell - 1:
@@ -224,8 +224,7 @@ def verify_uniqueness(d: int, ell: int, max_exp: int, j: int) -> UniquenessRepor
     Violations of positional uniqueness are asserted data (the report is not
     ok if any exist).  Pairs that share only the multiset of products are
     collected as informational rows and never asserted against."""
-    if d < 2:
-        raise ValueError("base must be at least 2")
+    _check_base(d)
     if ell < 2:
         raise ValueError("length must be at least 2")
     if max_exp < 0:

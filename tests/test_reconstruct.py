@@ -162,7 +162,7 @@ def test_reconstruct_not_power_of_d():
 
 
 def test_reconstruct_not_power_of_d_names_the_first_bad_product():
-    # 24 lies between the powers 16 and 32 of the table; 48 is the largest
+    # 24 lies between the powers 16 and 32 of 2; 48 is the largest
     # product; 2 and 8 are powers.
     for products, bad in [
         ({(1, 2): 8, (1, 3): 24, (2, 3): 2}, 24),

@@ -9,7 +9,8 @@ once per tree, each tree in its own subprocess, and every argv whose stdout,
 stderr or exit code differ between the trees is listed.  The list covers
 every subcommand in all three formats, both wave variants, the `--parts`
 and `--d` forms, wave tables at n below j and at D up to 512, usage errors,
-and valid, corrupted, not-a-power and malformed `reconstruct` inputs.
+each subcommand's `--help`, and valid, corrupted, not-a-power and malformed
+`reconstruct` inputs.
 
 Exit code 0 when every argv agrees, 1 when any differs, 2 on bad usage.
 """
@@ -23,6 +24,8 @@ import sys
 
 FORMATS = ("text", "json", "csv")
 VARIANTS = ("twisted", "literal")
+SUBCOMMANDS = ("count", "dary-count", "poly-part", "waves", "presym",
+               "reconstruct", "verify")
 
 
 def _reconstruct(products: str, d: int = 3, j: int = 2) -> list[str]:
@@ -121,7 +124,7 @@ def argv_list() -> list[list[str]]:
     usage = [
         [],
         ["--help"],
-        ["reconstruct", "--help"],
+        *([command, "--help"] for command in SUBCOMMANDS),
         ["no-such-command"],
         ["count", "--parts", "1,3"],
         ["count", "--parts", "1,3", "--n", "8", "--seed", "5"],
