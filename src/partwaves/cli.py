@@ -414,95 +414,43 @@ def _cmd_verify(args):
     return record, header, rows, 0 if ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format (default: %(default)s)",
-    )
-    # Only the wave commands read --variant; it stays listed before --seed.
-    wave_common = argparse.ArgumentParser(add_help=False, parents=[common])
-    wave_common.add_argument(
-        "--variant",
-        choices=(LITERAL, TWISTED),
-        default=DEFAULT_VARIANT,
-        help="wave weighting variant (default: %(default)s)",
-    )
-    for options in (common, wave_common):
-        options.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="rejected if given; every command is deterministic",
-        )
-
-    parser = argparse.ArgumentParser(
-        prog="partwaves",
-        description=(
-            "Exact restricted-partition counts, Sylvester wave tables, "
-            "and base-d partition tools."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "count",
-        parents=[common],
-        help="count partitions of n with parts from a fixed list",
-    )
+def _count_arguments(p):
     p.add_argument("--parts", required=True,
                    help="comma-separated distinct positive parts, e.g. 1,3")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_count)
+    return _cmd_count
 
-    p = sub.add_parser(
-        "dary-count",
-        parents=[common],
-        help="count partitions of n into powers of d",
-    )
+
+def _dary_count_arguments(p):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_dary_count)
+    return _cmd_dary_count
 
-    p = sub.add_parser(
-        "poly-part",
-        parents=[common],
-        help="polynomial part of the counting function, by two routes",
-    )
+
+def _poly_part_arguments(p):
     p.add_argument("--parts", help="comma-separated distinct positive parts")
     p.add_argument("--d", type=int, help="base (with --k)")
     p.add_argument("--k", type=int, help="largest exponent of the window")
     p.add_argument("--at", type=int,
                    help="also evaluate the polynomial at this n")
-    p.set_defaults(handler=_cmd_poly_part)
+    return _cmd_poly_part
 
-    p = sub.add_parser(
-        "waves",
-        parents=[wave_common],
-        help="wave values at n for every divisor of some part",
-    )
+
+def _waves_arguments(p):
     p.add_argument("--parts", help="comma-separated distinct positive parts")
     p.add_argument("--d", type=int, help="base; window taken at floor(log_d n)")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_waves)
+    return _cmd_waves
 
-    p = sub.add_parser(
-        "presym",
-        parents=[common],
-        help="elementary symmetric partition of order j",
-    )
+
+def _presym_arguments(p):
     p.add_argument("--partition", required=True,
                    help="comma-separated non-increasing positive parts")
     p.add_argument("--j", type=int, required=True)
-    p.set_defaults(handler=_cmd_presym)
+    return _cmd_presym
 
-    p = sub.add_parser(
-        "reconstruct",
-        parents=[common],
-        help="recover a base-d partition from its positional j-fold products",
-    )
+
+def _reconstruct_arguments(p):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument(
@@ -510,13 +458,10 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="semicolon-separated entries indices:value, e.g. '1,2:27;1,3:9;2,3:3'",
     )
-    p.set_defaults(handler=_cmd_reconstruct)
+    return _cmd_reconstruct
 
-    p = sub.add_parser(
-        "verify",
-        parents=[wave_common],
-        help="bulk verification sweeps",
-    )
+
+def _verify_arguments(p):
     p.add_argument("--mode", choices=("uniqueness", "circulant", "waves"),
                    required=True)
     p.add_argument("--d", type=int, help="base (uniqueness mode)")
@@ -527,13 +472,83 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int,
                    help="sweep bound (circulant and waves modes)")
     p.add_argument("--parts", help="comma-separated parts (waves mode)")
-    p.set_defaults(handler=_cmd_verify)
+    return _cmd_verify
 
+
+# name, help line, whether --variant applies, and the function that adds the
+# command's own arguments and returns its handler.
+_COMMANDS = (
+    ("count", "count partitions of n with parts from a fixed list",
+     False, _count_arguments),
+    ("dary-count", "count partitions of n into powers of d",
+     False, _dary_count_arguments),
+    ("poly-part", "polynomial part of the counting function, by two routes",
+     False, _poly_part_arguments),
+    ("waves", "wave values at n for every divisor of some part",
+     True, _waves_arguments),
+    ("presym", "elementary symmetric partition of order j",
+     False, _presym_arguments),
+    ("reconstruct",
+     "recover a base-d partition from its positional j-fold products",
+     False, _reconstruct_arguments),
+    ("verify", "bulk verification sweeps", True, _verify_arguments),
+)
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for `argv`: only its subcommand when argv[0] names one.
+
+    A call runs one command, so building the other six would be wasted.
+    Any other argv (none, --help, an unknown command, an option before the
+    command) gets every subcommand, which its help or error lists.
+    """
+    parser = argparse.ArgumentParser(
+        prog="partwaves",
+        description=(
+            "Exact restricted-partition counts, Sylvester wave tables, "
+            "and base-d partition tools."
+        ),
+    )
+    chosen = [entry for entry in _COMMANDS if argv[:1] == [entry[0]]]
+    # With one command registered, the metavar keeps the top-level usage
+    # listing all seven.  With all seven it stays unset, so that their errors
+    # still name the argument "command".
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{" + ",".join(entry[0] for entry in _COMMANDS) + "}"
+        if chosen else None,
+    )
+    for name, help_line, wave_options, arguments in chosen or _COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument(
+            "--format",
+            choices=("text", "json", "csv"),
+            default="text",
+            help="output format (default: %(default)s)",
+        )
+        # Only the wave commands read --variant; it stays listed before --seed.
+        if wave_options:
+            p.add_argument(
+                "--variant",
+                choices=(LITERAL, TWISTED),
+                default=DEFAULT_VARIANT,
+                help="wave weighting variant (default: %(default)s)",
+            )
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=None,
+            help="rejected if given; every command is deterministic",
+        )
+        p.set_defaults(handler=arguments(p))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,10 +1,18 @@
+import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from partwaves import cli
 from partwaves.cli import main
+
+CLI_DIFF = Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py"
 
 
 def run(capsys, argv):
@@ -293,7 +301,9 @@ def test_variant_is_only_an_option_of_the_wave_commands(capsys):
 def test_help_exits_0(capsys):
     rc, out, err = run(capsys, ["--help"])
     assert rc == 0
-    assert "count" in out and "reconstruct" in out
+    for command in ("count", "dary-count", "poly-part", "waves", "presym",
+                    "reconstruct", "verify"):
+        assert f"\n    {command} " in out
 
 
 def test_module_entry_point():
@@ -304,3 +314,82 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == 12
+
+
+def test_package_module_entry_point():
+    # `python -m partwaves` calls main() with no argv, which reads sys.argv.
+    proc = subprocess.run(
+        [sys.executable, "-m", "partwaves",
+         "waves", "--d", "2", "--n", "100", "--format", "json"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["inputs"] == {"d": 2, "n": 100}
+    assert record["metadata"]["sum"] == record["metadata"]["oracle"] == 9828
+    assert record["agreement"] is True
+
+
+def _load_cli_diff():
+    spec = importlib.util.spec_from_file_location("cli_diff", CLI_DIFF)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _subparsers(parser):
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _parse(parser, argv):
+    """The parsed Namespace of argv, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+cli_diff = _load_cli_diff()
+
+
+@pytest.mark.parametrize("command", cli_diff.SUBCOMMANDS)
+def test_one_command_parser_matches_the_full_parser(command):
+    one = cli._build_parser([command])
+    full = cli._build_parser([])
+    assert list(_subparsers(one).choices) == [command]
+    assert list(_subparsers(full).choices) == list(cli_diff.SUBCOMMANDS)
+    assert (_subparsers(one).choices[command].format_help()
+            == _subparsers(full).choices[command].format_help())
+    assert one.format_usage() == full.format_usage()
+    argvs = [argv for argv in cli_diff.argv_list() if argv[:1] == [command]]
+    assert argvs
+    for argv in argvs:
+        assert _parse(cli._build_parser(argv), argv) == _parse(full, argv), argv
+
+
+def test_named_command_builds_one_subparser(monkeypatch, capsys):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert main(["waves", "--d", "2", "--n", "100"]) == 0
+    assert calls == ["waves"]
+    calls.clear()
+    assert run(capsys, ["--help"])[0] == 0
+    assert calls == list(cli_diff.SUBCOMMANDS)
+
+
+def test_top_level_error_after_a_command_shows_the_full_usage(capsys):
+    rc, out, err = run(capsys, ["count", "--parts", "1,3", "--n", "8", "extra"])
+    assert rc == 2
+    assert out == ""
+    usage = cli._build_parser([]).format_usage()
+    assert "{count,dary-count,poly-part,waves,presym,reconstruct,verify}" in usage
+    assert err == usage + "partwaves: error: unrecognized arguments: extra\n"

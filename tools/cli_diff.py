@@ -9,8 +9,9 @@ once per tree, each tree in its own subprocess, and every argv whose stdout,
 stderr or exit code differ between the trees is listed.  The list covers
 every subcommand in all three formats, both wave variants, the `--parts`
 and `--d` forms, wave tables at n below j and at D up to 512, usage errors,
-each subcommand's `--help`, and valid, corrupted, not-a-power and malformed
-`reconstruct` inputs.
+each subcommand's `--help`, valid, corrupted, not-a-power and malformed
+`reconstruct` inputs, and argv that does or does not begin with a command
+name.
 
 Exit code 0 when every argv agrees, 1 when any differs, 2 on bad usage.
 """
@@ -132,6 +133,22 @@ def argv_list() -> list[list[str]]:
         ["count", "--parts", "1,3", "--n", "8", "--format", "xml"],
         ["waves", "--parts", "1,3", "--n", "8", "--variant", "other"],
     ]
+    # A call whose argv[0] names a command builds only that subparser; any
+    # other argv builds all seven.  These sit on either side of that choice.
+    boundary = [
+        ["count", "--parts", "1,3", "--n", "8", "extra"],
+        ["--format", "json", "count", "--parts", "1,3", "--n", "8"],
+        ["-h", "count"],
+        ["coun", "--parts", "1,3"],
+        ["count"],
+        ["verify"],
+        ["--", "count", "--parts", "1,3", "--n", "8"],
+        ["count", "--parts", "1,3", "--n", "8", "--", "x"],
+        ["count", "--pa", "1,3", "--n", "8"],
+        ["verify", "--mode", "waves", "--parts", "1,2", "--n-max", "5",
+         "--var", "literal"],
+        ["count", "--parts", "1,3", "--n", "8", "--format"],
+    ]
     argvs = [argv + ["--format", fmt] for argv in formatted for fmt in FORMATS]
     argvs += [
         argv + ["--variant", variant, "--format", fmt]
@@ -141,7 +158,7 @@ def argv_list() -> list[list[str]]:
     ]
     argvs += single_waves
     argvs += failing + [argv + ["--format", "json"] for argv in failing]
-    return argvs + usage
+    return argvs + usage + boundary
 
 
 # Run in a subprocess with the source tree first on sys.path: read the argv
