@@ -39,7 +39,7 @@ from .partitions import (
     elementary_symmetric_value,
     positional_products,
 )
-from .quasipoly import VerificationFailed, denumerant_formula
+from .quasipoly import denumerant_formula
 from .reconstruct import (
     InconsistentData,
     circulant_det_check,
@@ -562,8 +562,7 @@ def main(argv=None) -> int:
         return 2
     try:
         record, header, rows, code = args.handler(args)
-    except (NotRational, NotDivisor, NotPowerOfD, InconsistentData,
-            VerificationFailed) as exc:
+    except (NotRational, NotDivisor, NotPowerOfD, InconsistentData) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

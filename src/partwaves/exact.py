@@ -22,7 +22,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "root_of_unity",
     "to_rational",
-    "interpolate",
 ]
 
 
@@ -175,22 +174,6 @@ class RationalPolynomial:
 
     def __repr__(self):
         return f"RationalPolynomial({self.coeffs!r})"
-
-
-def interpolate(points) -> RationalPolynomial:
-    """Exact Lagrange interpolation through (x, y) pairs with distinct x."""
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    if len({x for x, _ in pts}) != len(pts):
-        raise ValueError("interpolation nodes must be distinct")
-    total = RationalPolynomial()
-    for i, (xi, yi) in enumerate(pts):
-        term = RationalPolynomial((yi,))
-        for t, (xt, _) in enumerate(pts):
-            if t == i:
-                continue
-            term = term * RationalPolynomial((-xt, 1)) / (xi - xt)
-        total = total + term
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Closed-formula counting and quasi-polynomial fitting for restricted
-partitions.
+"""Closed-formula counting for restricted partitions.
 
 `denumerant_formula` evaluates the exact congruence-filtered sum over the
 box of residue tuples without building the box: it folds all parts but the
 smallest, largest first, into a distribution kept only on multiples of the
 running gcd of the parts folded so far, and reads each needed box entry as a
 strided window sum of that distribution over the smallest part's range.
-`fit_quasipolynomial` interpolates the per-residue polynomials from the DP
-oracle and verifies them.
+
+The module keeps its name because the benchmark's per-layer metrics
+(`bench/tracing.LAYERS` and the `quasipoly.*` names) are keyed on it.
 """
 
 from __future__ import annotations
@@ -17,19 +17,9 @@ from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import sub
 
-from .exact import RationalPolynomial, interpolate
-from .partitions import PartsList, denumerant_series
+from .partitions import PartsList
 
-__all__ = [
-    "VerificationFailed",
-    "QuasiPolynomial",
-    "denumerant_formula",
-    "fit_quasipolynomial",
-]
-
-
-class VerificationFailed(ValueError):
-    """A fitted quasi-polynomial disagreed with the enumeration oracle."""
+__all__ = ["denumerant_formula"]
 
 
 def _spread(counts: list[int], stride: int, count: int) -> list[int]:
@@ -99,67 +89,3 @@ def denumerant_formula(a: PartsList, n: int) -> Fraction:
         total += c * term
     return Fraction(total, math.factorial(r - 1))
 
-
-class QuasiPolynomial:
-    """A family of per-residue polynomials representing a restricted count.
-
-    `residue_polys[c]` applies to all n with n mod period == c; each has
-    degree at most `degree` (the number of parts minus one).
-    """
-
-    __slots__ = ("period", "residue_polys", "degree")
-
-    def __init__(self, period: int, residue_polys, degree: int):
-        polys = tuple(residue_polys)
-        if period < 1 or len(polys) != period:
-            raise ValueError("need one residue polynomial per residue class")
-        if any(p.degree > degree for p in polys):
-            raise ValueError(f"residue polynomial exceeds degree {degree}")
-        self.period = period
-        self.residue_polys = polys
-        self.degree = degree
-
-    def evaluate(self, n: int) -> Fraction:
-        return self.residue_polys[n % self.period].evaluate(n)
-
-    def __eq__(self, other):
-        if isinstance(other, QuasiPolynomial):
-            return (
-                self.period == other.period
-                and self.residue_polys == other.residue_polys
-            )
-        return NotImplemented
-
-    def __repr__(self):
-        return (
-            f"QuasiPolynomial(period={self.period}, degree={self.degree}, "
-            f"residue_polys={self.residue_polys!r})"
-        )
-
-
-def fit_quasipolynomial(a: PartsList, n_max_check: int) -> QuasiPolynomial:
-    """Interpolate the residue polynomials from the DP oracle and verify them.
-
-    For each residue class c the degree-(r-1) polynomial through the r points
-    c, c+D, ..., c+(r-1)D is fitted exactly; the result is then checked
-    against the oracle for every n <= n_max_check.  Raises VerificationFailed
-    on any disagreement.
-    """
-    if n_max_check < 0:
-        raise ValueError("n_max_check must be non-negative")
-    D = a.D
-    r = len(a.parts)
-    values = denumerant_series(a, max(n_max_check, r * D - 1))
-    polys = []
-    for c in range(D):
-        pts = [(c + t * D, values[c + t * D]) for t in range(r)]
-        polys.append(interpolate(pts))
-    fitted = QuasiPolynomial(D, polys, r - 1)
-    for n in range(n_max_check + 1):
-        got = fitted.evaluate(n)
-        if got != values[n]:
-            raise VerificationFailed(
-                f"fitted quasi-polynomial disagrees with the oracle at "
-                f"n={n}: {got} != {values[n]}"
-            )
-    return fitted

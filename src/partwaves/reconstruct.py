@@ -20,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-# NotPowerOfD is imported for callers that catch it from this module; dary
-# defines and lists it.
-from .dary import DAryPartition, NotPowerOfD, _check_base, exponent_of_power
+from .dary import DAryPartition, _check_base, exponent_of_power
 from .partitions import SubsetProductMap
 
 __all__ = [
@@ -57,13 +55,6 @@ class IntMatrix:
         self.entries = rows
         self.rows = len(rows)
         self.cols = len(rows[0])
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(int(i == t) for t in range(n)) for i in range(n)))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)))
 
     def __eq__(self, other):
         if isinstance(other, IntMatrix):

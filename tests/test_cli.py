@@ -3,16 +3,20 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import partwaves
 from partwaves import cli
 from partwaves.cli import main
 
 CLI_DIFF = Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py"
+# A subprocess finds the package under test wherever pytest found it.
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(partwaves.__file__).parents[1])}
 
 
 def run(capsys, argv):
@@ -310,7 +314,7 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "partwaves.cli",
          "dary-count", "--d", "3", "--n", "20", "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == 12
@@ -321,7 +325,7 @@ def test_package_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "partwaves",
          "waves", "--d", "2", "--n", "100", "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)

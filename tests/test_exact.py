@@ -10,7 +10,6 @@ from partwaves.exact import (
     RationalPolynomial,
     bernoulli,
     cyclotomic_polynomial,
-    interpolate,
     root_of_unity,
     stirling_unsigned,
     to_rational,
@@ -108,14 +107,6 @@ def test_polynomial_arithmetic_matches_pointwise():
             assert (p - q).evaluate(x) == p.evaluate(x) - q.evaluate(x)
             assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
             assert (p / 7).evaluate(x) == p.evaluate(x) / 7
-
-
-def test_interpolate_recovers_polynomial():
-    target = RationalPolynomial([Fraction(3, 2), 0, Fraction(-2, 5), 1])
-    points = [(x, target.evaluate(x)) for x in (0, 1, 2, 3)]
-    assert interpolate(points) == target
-    # and a constant through one point
-    assert interpolate([(5, Fraction(7, 2))]) == RationalPolynomial([Fraction(7, 2)])
 
 
 def test_cyclotomic_polynomials():

@@ -1,12 +1,20 @@
 """Property-based checks over random inputs, next to the golden tables."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partwaves.dary import DAryPartition, poly_part_d_average, poly_part_d_bernoulli
 from partwaves.exact import NotRational
-from partwaves.partitions import PartsList, SubsetProductMap, denumerant_dp, positional_products
+from partwaves.partitions import (
+    PartsList,
+    SubsetProductMap,
+    denumerant_dp,
+    denumerant_series,
+    positional_products,
+)
 from partwaves.quasipoly import denumerant_formula
 from partwaves.reconstruct import InconsistentData, reconstruct_exponents
 from partwaves.waves import (
@@ -40,6 +48,23 @@ def test_formula_equals_dp(parts, data):
     a = PartsList(parts)
     n = data.draw(st.integers(0, 3 * a.D))
     assert denumerant_formula(a, n) == denumerant_dp(a, n)
+
+
+@settings(deadline=None)
+@given(parts=parts_lists)
+@example(parts=[1])
+@example(parts=[1, 2])
+@example(parts=[2, 3, 5])
+def test_count_is_period_D_quasipolynomial(parts):
+    # each residue class of n mod D follows one polynomial of degree <= r-1,
+    # so the r-th difference of the count with step D vanishes
+    a = PartsList(parts)
+    r, D = len(parts), a.D
+    series = denumerant_series(a, 60 + r * D)
+    for n in range(61):
+        assert sum(
+            (-1) ** i * math.comb(r, i) * series[n + i * D] for i in range(r + 1)
+        ) == 0
 
 
 def _wave_or_error(j, a, n, variant):

@@ -6,12 +6,7 @@ from itertools import product
 import pytest
 
 from partwaves.partitions import PartsList, denumerant_dp, denumerant_series
-from partwaves.quasipoly import (
-    QuasiPolynomial,
-    VerificationFailed,
-    denumerant_formula,
-    fit_quasipolynomial,
-)
+from partwaves.quasipoly import denumerant_formula
 
 
 def brute_formula(a, n):
@@ -103,59 +98,3 @@ def test_formula_does_not_build_the_box(monkeypatch):
 def test_formula_rejects_negative_n():
     with pytest.raises(ValueError):
         denumerant_formula(PartsList((1, 2)), -1)
-
-
-def test_fit_single_unit_part():
-    qp = fit_quasipolynomial(PartsList((1,)), 20)
-    assert qp.period == 1
-    assert qp.degree == 0
-    assert [qp.evaluate(n) for n in range(5)] == [1, 1, 1, 1, 1]
-
-
-def test_fit_parts_one_two():
-    qp = fit_quasipolynomial(PartsList((1, 2)), 40)
-    assert qp.period == 2
-    assert [qp.evaluate(n) for n in range(11)] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
-
-
-def test_fit_parts_one_three_value():
-    qp = fit_quasipolynomial(PartsList((1, 3)), 40)
-    assert qp.evaluate(8) == 3
-
-
-def test_fit_reproduces_dp_everywhere():
-    for parts in [(1, 3), (2, 3), (1, 2, 4), (2, 3, 5)]:
-        a = PartsList(parts)
-        qp = fit_quasipolynomial(a, 60)
-        series = denumerant_series(a, 120)
-        for n in range(121):
-            assert qp.evaluate(n) == series[n]
-        assert qp.degree == len(parts) - 1
-        for poly in qp.residue_polys:
-            assert poly.degree <= qp.degree
-
-
-def test_fit_periodicity_of_differences():
-    a = PartsList((2, 3))
-    qp = fit_quasipolynomial(a, 60)
-    series = denumerant_series(a, 101 + a.D)
-    for n in range(101):
-        lhs = qp.residue_polys[(n + a.D) % a.D].evaluate(n + a.D)
-        rhs = qp.residue_polys[n % a.D].evaluate(n)
-        assert lhs - rhs == series[n + a.D] - series[n]
-
-
-def test_quasipolynomial_validation():
-    with pytest.raises(ValueError):
-        QuasiPolynomial(0, [], 0)
-    from partwaves.exact import RationalPolynomial
-
-    quadratic = RationalPolynomial([0, 0, 1])
-    with pytest.raises(ValueError):
-        QuasiPolynomial(1, [quadratic], 1)  # degree above the bound
-    with pytest.raises(ValueError):
-        QuasiPolynomial(2, [quadratic], 2)  # wrong number of residue polys
-
-
-def test_verification_failed_is_value_error():
-    assert issubclass(VerificationFailed, ValueError)
