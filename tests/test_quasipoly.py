@@ -98,3 +98,55 @@ def test_formula_does_not_build_the_box(monkeypatch):
 def test_formula_rejects_negative_n():
     with pytest.raises(ValueError):
         denumerant_formula(PartsList((1, 2)), -1)
+
+
+def _step_difference(series, n, step, order):
+    """order-th forward difference of series at n with the given step."""
+    return sum(
+        (-1) ** (order - i) * math.comb(order, i) * series[n + i * step]
+        for i in range(order + 1)
+    )
+
+
+def test_fit_single_unit_part():
+    # period 1, degree 0: the count is the constant 1
+    a = PartsList((1,))
+    assert a.D == 1
+    series = denumerant_series(a, 20)
+    assert series == [1] * 21
+    assert all(denumerant_formula(a, n) == 1 for n in range(21))
+
+
+def test_fit_parts_one_two():
+    # period 2, degree 1: the count is floor(n/2) + 1
+    a = PartsList((1, 2))
+    assert a.D == 2
+    series = denumerant_series(a, 44)
+    assert series[:11] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+    assert all(_step_difference(series, n, 2, 2) == 0 for n in range(41))
+    assert [denumerant_formula(a, n) for n in range(11)] == series[:11]
+
+
+def test_fit_reproduces_dp_everywhere():
+    # on each residue class mod D the count is a polynomial of degree exactly
+    # r-1 whose leading coefficient is 1/((r-1)! * prod(a)), so its (r-1)-th
+    # step-D difference is the constant D^(r-1)/prod(a) and its r-th is 0
+    for parts in [(1, 3), (2, 3), (1, 2, 4), (2, 3, 5)]:
+        a = PartsList(parts)
+        r, D = len(parts), a.D
+        series = denumerant_series(a, 120 + r * D)
+        for n in range(121):
+            assert denumerant_formula(a, n) == series[n], (parts, n)
+            assert _step_difference(series, n, D, r) == 0, (parts, n)
+            assert _step_difference(series, n, D, r - 1) == Fraction(
+                D ** (r - 1), math.prod(parts)
+            ), (parts, n)
+
+
+def test_fit_periodicity_of_differences():
+    # for (2, 3) the count grows by exactly one every period D = 6
+    a = PartsList((2, 3))
+    series = denumerant_series(a, 101 + a.D)
+    for n in range(101):
+        assert series[n + a.D] - series[n] == 1
+        assert denumerant_formula(a, n + a.D) - denumerant_formula(a, n) == 1
