@@ -12,9 +12,8 @@ The same variant switch as in `waves` applies here.  Besides the weighting,
 the literal variant also keeps a defective reading of the window sum in
 which the last summand repeats the next-to-last variable with stride
 d**(k-1) and the final variable never enters the sum (for k >= 2); it is
-retained for audit only, as its own list of (stride, count) box specs whose
-residue power sums come from `waves._residue_moments`, like every other
-wave's, and whose waves come from `waves._build_wave`."""
+retained for audit only, as its own list of (stride, count) box specs from
+which `waves._build_wave` builds the wave, as it does every other wave."""
 
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ from .waves import (
     NotDivisor,
     _build_wave,
     _check_variant,
-    _residue_moments,
     divisor_set,
     polynomial_part_average,
     polynomial_part_bernoulli,
@@ -195,8 +193,7 @@ def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
         # The defective window sum of the module docstring, kept for audit.
         specs = [(d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k - 1)]
         specs += [(d ** (k - 2) + d ** (k - 1), d * d), (0, d)]
-        res_moments = _residue_moments(specs, j, k)
-        return _build_wave(k + 1, period, j, res_moments, variant)(n)
+        return _build_wave(k + 1, period, j, specs, variant)(n)
     return wave(j, _powers_list(d, k), n, variant)
 
 

@@ -161,6 +161,8 @@ def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
     _check_base(d)
     ell = products.length
     j = products.order
+    if ell < 2:
+        raise ValueError("length must be at least 2")
     if not 1 <= j <= ell - 1:
         raise ValueError(f"reconstruction needs order in 1..{ell - 1}, got {j}")
     # One exponent_of_power per distinct value, in item order, so that

@@ -6,9 +6,9 @@ j of the entries of `a`; W_1 is the polynomial part.  The box-tuple sums are
 split into congruence classes modulo j, each class is expanded into a
 polynomial in n, and the classes are combined with a weight per class; a
 wave is built once, as a function of n, and evaluated at each n.  A class
-enters only through the power sums of its box sums, and `_residue_moments`
-gets those without building the box, so no wave allocates anything of the
-size of the period D.
+enters only through the power sums of its box sums, which `_residue_moments`
+gets from a fold of at most sum(lcm(a_i, j)) values, not from the box; a
+twisted wave reads at most rad(j) of its j classes.
 
 Two weightings are exposed:
 
@@ -90,18 +90,17 @@ def divisor_set(a: PartsList) -> tuple[int, ...]:
 # power sums over the tuple box
 
 
-def _binomial_convolution(xs, y):
-    """Power sums of v + w, for v with power sums x in xs and w with power
-    sums y: sum C(p, q) * x[q] * y[p - q] over q <= p."""
-    weights = [[math.comb(p, q) * y[p - q] for q in range(p + 1)]
-               for p in range(len(y))]
-    return [[sum(map(mul, x, w)) for w in weights] for x in xs]
+def _binomial_convolution(x, y):
+    """Power sums of v + w, for v with power sums x and w with power sums y:
+    sum C(p, q) * x[q] * y[p - q] over q <= p."""
+    return [sum(math.comb(p, q) * x[q] * y[p - q] for q in range(p + 1))
+            for p in range(len(y))]
 
 
 def _residue_moments(specs, j: int, t_max: int):
-    """Power sums of s**t, t = 0..t_max, over the box of
-    s = sum(stride_i * t_i), 0 <= t_i < count_i, split by s mod j; index
-    [residue][t].
+    """row(rho): the power sums of s**t, t = 0..t_max, over the box of
+    s = sum(stride_i * t_i), 0 <= t_i < count_i, in the class s = rho mod j,
+    each row computed on its first call.
 
     Each t_i is t0 + m*u with m = j/gcd(stride_i, j), which divides count_i
     in every box built here (else m = count_i).  The short parts t0 < m fold
@@ -111,9 +110,9 @@ def _residue_moments(specs, j: int, t_max: int):
     S the Stirling numbers of the second kind."""
     stirling = [[1]]
     for _ in range(t_max):
-        row = stirling[-1]
+        last = stirling[-1]
         stirling.append([i * s + prev for i, (s, prev)
-                         in enumerate(zip(row + [0], [0] + row))])
+                         in enumerate(zip(last + [0], [0] + last))])
     short, long_sums = [1], [1] + [0] * t_max
     for stride, count in specs:
         m = j // math.gcd(stride, j)
@@ -124,16 +123,20 @@ def _residue_moments(specs, j: int, t_max: int):
         if count > m:
             basis = [math.factorial(i) * math.comb(count // m, i + 1)
                      for i in range(t_max + 1)]
-            sums = [(stride * m) ** q * sum(map(mul, row, basis))
-                    for q, row in enumerate(stirling)]
-            (long_sums,) = _binomial_convolution([long_sums], sums)
-    powers = [short]
-    for _ in range(t_max):
-        powers.append(list(map(mul, powers[-1], range(len(short)))))
-    rows = [[sum(column[rho::j]) for column in powers] for rho in range(j)]
-    if long_sums == [1] + [0] * t_max:  # every long part was the single 0
-        return rows
-    return _binomial_convolution(rows, long_sums)
+            sums = [(stride * m) ** q * sum(map(mul, numbers, basis))
+                    for q, numbers in enumerate(stirling)]
+            long_sums = _binomial_convolution(long_sums, sums)
+
+    @lru_cache(maxsize=j)
+    def row(rho: int) -> list[int]:
+        column, values = short[rho::j], range(rho, len(short), j)
+        sums = [sum(column)]
+        for _ in range(t_max):
+            column = list(map(mul, column, values))
+            sums.append(sum(column))
+        return _binomial_convolution(sums, long_sums)
+
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +159,7 @@ def polynomial_part_average(a: PartsList) -> RationalPolynomial:
     """Polynomial part of the restricted count via the box-average route:
     the congruence-free sum over all residue tuples, expanded exactly."""
     r = len(a.parts)
-    (moments,) = _residue_moments([(p, a.D // p) for p in a.parts], 1, r - 1)
+    moments = _residue_moments([(p, a.D // p) for p in a.parts], 1, r - 1)(0)
     return _poly_from_box_moments(r, a.D, moments)
 
 
@@ -198,8 +201,8 @@ def _ramanujan_sum(j: int, g: int) -> int:
     )
 
 
-def _build_wave(r: int, D: int, j: int, res_moments, variant: str):
-    """The wave, as a function of n, from per-residue power sums.
+def _build_wave(r: int, D: int, j: int, specs, variant: str):
+    """The wave, as a function of n, from the (stride, count) box specs.
 
     Class ell modulo j expands, via `_poly_from_box_moments`, to a polynomial
     in n.  The twisted weight c_j(ell - n) depends on n only through n mod j,
@@ -207,9 +210,11 @@ def _build_wave(r: int, D: int, j: int, res_moments, variant: str):
     integers c_j(ell - c).  That expansion is made the first time the wave is
     evaluated at an n with n mod j == c and kept for later n of the class:
     one evaluation expands one class, and a sweep over n expands each class
-    once.  The literal weights rho_j**ell make the class values at n one
-    cyclotomic number, extracted at each n, so every class is expanded.
+    once.  It reads only the classes ell with c_j(ell - c) != 0, at most
+    rad(j) of the j.  The literal weights rho_j**ell make the class values at
+    n one cyclotomic number, extracted at each n, so every class is expanded.
     """
+    row = _residue_moments(specs, j, r - 1)
     if variant == TWISTED:
         weights = [(delta, w) for delta in range(j)
                    if (w := _ramanujan_sum(j, math.gcd(j, delta)))]
@@ -217,12 +222,12 @@ def _build_wave(r: int, D: int, j: int, res_moments, variant: str):
         @lru_cache(maxsize=j)
         def residue_poly(c: int) -> RationalPolynomial:
             return _poly_from_box_moments(r, D, [
-                sum(w * res_moments[(c + delta) % j][t] for delta, w in weights)
+                sum(w * row((c + delta) % j)[t] for delta, w in weights)
                 for t in range(r)
             ])
 
         return lambda n: residue_poly(n % j).evaluate(n)
-    classes = [_poly_from_box_moments(r, D, row) for row in res_moments]
+    classes = [_poly_from_box_moments(r, D, row(rho)) for rho in range(j)]
     scale = D * math.factorial(r - 1)
     return lambda n: CyclotomicNumber(
         j, [poly.evaluate(n) * scale for poly in classes]).to_rational() / scale
@@ -241,9 +246,8 @@ def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fracti
         raise ValueError("n must be non-negative")
     if all(p % j for p in a.parts):
         raise NotDivisor(f"{j} divides no entry of {a.parts}")
-    r = len(a.parts)
-    res_moments = _residue_moments([(p, a.D // p) for p in a.parts], j, r - 1)
-    return _build_wave(r, a.D, j, res_moments, variant)(n)
+    specs = [(p, a.D // p) for p in a.parts]
+    return _build_wave(len(a.parts), a.D, j, specs, variant)(n)
 
 
 @dataclass(frozen=True)
@@ -304,10 +308,7 @@ def wave_decomposition_check(
     divisors = divisor_set(a)
     r = len(a.parts)
     specs = [(p, a.D // p) for p in a.parts]
-    built = {
-        j: _build_wave(r, a.D, j, _residue_moments(specs, j, r - 1), variant)
-        for j in divisors
-    }
+    built = {j: _build_wave(r, a.D, j, specs, variant) for j in divisors}
     expected = denumerant_series(a, n_max)
     rows = tuple(
         _wave_row(n, divisors, lambda j, n: built[j](n), expected[n])

@@ -230,6 +230,11 @@ def test_reconstruct_validation():
         reconstruct_exponents(good, 1)  # base too small
 
 
+def test_reconstruct_rejects_a_one_part_map():
+    with pytest.raises(ValueError, match="length must be at least 2"):
+        reconstruct_exponents(SubsetProductMap(1, 1, {(1,): 5}), 5)
+
+
 def brute_uniqueness(ell, max_exp, j):
     vectors = [
         tuple(reversed(c))

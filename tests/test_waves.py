@@ -295,6 +295,29 @@ def test_single_wave_expands_one_class(monkeypatch):
         assert len(calls) == len(divisor_set(a))
 
 
+def test_twisted_wave_reads_at_most_rad_j_rows(monkeypatch):
+    import partwaves.waves as waves
+    from partwaves.cli import main
+
+    read = set()
+    moments = waves._residue_moments
+
+    def spy(specs, j, t_max):
+        row = moments(specs, j, t_max)
+        return lambda rho: read.add((j, rho)) or row(rho)
+
+    monkeypatch.setattr(waves, "_residue_moments", spy)
+    # each wave reads the rad(j) classes with a nonzero Ramanujan weight
+    for argv, rows in [
+        (["waves", "--d", "2", "--n", "100"], 13),
+        (["waves", "--d", "3", "--n", "5000"], 22),
+        (["waves", "--parts", "3,4,6,10,12", "--n", "700"], 35),
+    ]:
+        read.clear()
+        assert main(argv) == 0
+        assert len(read) == rows
+
+
 def box_size(parts):
     return math.prod(math.lcm(*parts) // p for p in parts)
 
@@ -310,7 +333,7 @@ def test_built_wave_keeps_each_class_apart(parts, data):
     r = len(parts)
     specs = [(p, a.D // p) for p in parts]
     for j in divisor_set(a):
-        built = waves._build_wave(r, a.D, j, _residue_moments(specs, j, r - 1), TWISTED)
+        built = waves._build_wave(r, a.D, j, specs, TWISTED)
         ns = data.draw(st.lists(st.integers(0, 3 * j), min_size=1, max_size=4))
         ns.append(data.draw(st.integers(0, j - 1)))
         brute = {n: brute_wave(j, a, n) for n in ns}
@@ -345,6 +368,11 @@ def brute_residue_moments(specs, j, t_max):
     return rows
 
 
+def moment_rows(specs, j, t_max):
+    row = _residue_moments(specs, j, t_max)
+    return [row(rho) for rho in range(j)]
+
+
 def defective_window_specs(d, k):
     specs = [(d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k - 1)]
     return specs + [(d ** (k - 2) + d ** (k - 1), d * d), (0, d)]
@@ -362,12 +390,12 @@ def test_residue_moments_match_box_enumeration():
     ]
     for specs in cases:
         for j in range(1, 13):
-            assert _residue_moments(specs, j, 3) == brute_residue_moments(specs, j, 3)
+            assert moment_rows(specs, j, 3) == brute_residue_moments(specs, j, 3)
     for d in (2, 3):
         for k in (3, 4):
             specs = defective_window_specs(d, k)
             for j in (j for j in range(1, d**k + 1) if d**k % j == 0):
-                assert _residue_moments(specs, j, k) == brute_residue_moments(specs, j, k)
+                assert moment_rows(specs, j, k) == brute_residue_moments(specs, j, k)
 
 
 @st.composite
@@ -384,7 +412,7 @@ def small_boxes(draw):
 def test_residue_moments_equal_box_enumeration(a, t_max):
     specs = [(p, a.D // p) for p in a.parts]
     for j in (j for j in range(1, a.D + 1) if a.D % j == 0):
-        assert _residue_moments(specs, j, t_max) == brute_residue_moments(specs, j, t_max)
+        assert moment_rows(specs, j, t_max) == brute_residue_moments(specs, j, t_max)
 
 
 def test_waves_build_nothing_box_sized(monkeypatch):

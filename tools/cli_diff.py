@@ -8,7 +8,8 @@ Each SRC is a directory holding the `partwaves` package (a checkout's
 once per tree, each tree in its own subprocess, and every argv whose stdout,
 stderr or exit code differ between the trees is listed.  The list covers
 every subcommand in all three formats, both wave variants, the `--parts`
-and `--d` forms, wave tables at n below j and at D up to 512, usage errors,
+and `--d` forms, wave tables at n below j, at D up to 512 and on the large
+`--d` windows D = 2**14, 2**15, 2**16, 3**9 and 5**7, usage errors,
 each subcommand's `--help`, valid, corrupted, not-a-power and malformed
 `reconstruct` inputs, and argv that does or does not begin with a command
 name.
@@ -76,6 +77,14 @@ def argv_list() -> list[list[str]]:
         ["waves", "--parts", "3,6,7", "--n", "700"],
         ["waves", "--parts", "2,3,9", "--n", "0"],
         ["waves", "--parts", "2,3,9", "--n", "5"],
+    ]
+    # Large windows, where the largest wave has j = D and its fold holds
+    # about (k+1)*D values: k = 14, 15, 16, 9 and 7.
+    large_windows = [
+        ["waves", "--d", "2", "--n", str(n)] for n in (20000, 40000, 100000)
+    ] + [
+        ["waves", "--d", "3", "--n", "20000"],
+        ["waves", "--d", "5", "--n", "100000"],
     ]
     failing = [
         # not a power of d
@@ -156,7 +165,7 @@ def argv_list() -> list[list[str]]:
         for variant in VARIANTS
         for fmt in FORMATS
     ]
-    argvs += single_waves
+    argvs += single_waves + large_windows
     argvs += failing + [argv + ["--format", "json"] for argv in failing]
     return argvs + usage + boundary
 
