@@ -29,7 +29,6 @@ from .waves import (
     NotDivisor,
     _build_wave,
     _check_variant,
-    divisor_set,
     polynomial_part_average,
     polynomial_part_bernoulli,
     wave,
@@ -44,7 +43,6 @@ __all__ = [
     "integer_log",
     "count_dary",
     "wave_d",
-    "dary_divisor_set",
     "poly_part_d_average",
     "poly_part_d_bernoulli",
 ]
@@ -104,9 +102,6 @@ class DAryPartition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def to_partition(self) -> Partition:
-        return Partition(self.parts)
-
     def __eq__(self, other):
         if isinstance(other, DAryPartition):
             return self.base == other.base and self.exponents == other.exponents
@@ -147,30 +142,16 @@ def _powers_list(d: int, k: int) -> PartsList:
     return PartsList(tuple(d**i for i in range(k + 1)))
 
 
-def count_dary(d: int, n: int, k: int | None = None) -> int:
-    """Number of partitions of n into powers of d via the window formula.
+def count_dary(d: int, n: int) -> int:
+    """Number of partitions of n into powers of d via the window formula on
+    (1, d, ..., d**k), k = floor(log_d(n)).
 
-    The window defaults to k = floor(log_d(n)); any k with n < d**(k+1) gives
-    the same count (window stability)."""
-    _check_base(d)
-    if n < 1:
-        raise ValueError("n must be positive")
-    if k is None:
-        k = integer_log(d, n)
-    else:
-        if k < 0:
-            raise ValueError("window k must be non-negative")
-        if n >= d ** (k + 1):
-            raise ValueError(f"window too small: need n < {d}**{k + 1}")
-    value = denumerant_formula(_powers_list(d, k), n)
+    A wider window gives the same count (window stability); that is a
+    tested property, not a parameter."""
+    value = denumerant_formula(_powers_list(d, integer_log(d, n)), n)
     if value.denominator != 1 or value < 0:
         raise ArithmeticError(f"window formula produced a non-count: {value}")
     return int(value)
-
-
-def dary_divisor_set(d: int, n: int) -> tuple[int, ...]:
-    """Divisors of d**k for the window k = floor(log_d(n)), ascending."""
-    return divisor_set(_powers_list(d, integer_log(d, n)))
 
 
 def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:

@@ -102,13 +102,6 @@ class RationalPolynomial:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def evaluate(self, n) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -128,22 +121,11 @@ class RationalPolynomial:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return RationalPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            other = RationalPolynomial((other,))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return RationalPolynomial((other,)) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return RationalPolynomial(tuple(c * other for c in self.coeffs))
         if isinstance(other, RationalPolynomial):
-            if self.is_zero() or other.is_zero():
+            if not self.coeffs or not other.coeffs:
                 return RationalPolynomial()
             out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
@@ -165,12 +147,7 @@ class RationalPolynomial:
     def __eq__(self, other):
         if isinstance(other, RationalPolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == RationalPolynomial((other,))
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return f"RationalPolynomial({self.coeffs!r})"
@@ -257,14 +234,15 @@ class CyclotomicNumber:
         """Coefficients reduced modulo the cyclotomic polynomial, zero-padded."""
         phi = cyclotomic_polynomial(self.order)
         deg = len(phi) - 1
+        terms = [(t, p) for t, p in enumerate(phi[:deg]) if p]
         rem = list(self.coeffs)
         for i in range(len(rem) - 1, deg - 1, -1):
             c = rem[i]
             if c:
                 rem[i] = Fraction(0)
                 base = i - deg
-                for t in range(deg):
-                    rem[base + t] -= c * phi[t]
+                for t, p in terms:
+                    rem[base + t] -= c * p
         return tuple(rem)
 
     def is_rational(self) -> bool:

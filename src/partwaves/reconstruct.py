@@ -25,7 +25,6 @@ from .partitions import SubsetProductMap
 
 __all__ = [
     "InconsistentData",
-    "IntMatrix",
     "build_c_matrix",
     "det_exact",
     "circulant_det_check",
@@ -41,33 +40,6 @@ class InconsistentData(ValueError):
     """The product map does not come from any d-ary partition."""
 
 
-class IntMatrix:
-    """A rectangular integer matrix stored as a tuple of row tuples."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
-        if not rows or not rows[0]:
-            raise ValueError("matrix must be non-empty")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("matrix rows must have equal length")
-        self.entries = rows
-        self.rows = len(rows)
-        self.cols = len(rows[0])
-
-    def __eq__(self, other):
-        if isinstance(other, IntMatrix):
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"IntMatrix({self.entries!r})"
-
-
 def _subsystem_tuples(ell: int, j: int) -> list[tuple[int, ...]]:
     """The index tuples of the square subsystem, in matrix row order: the
     initial window 1..j, the punctured windows 1..j+1 without i-1 for
@@ -80,10 +52,10 @@ def _subsystem_tuples(ell: int, j: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def build_c_matrix(n: int, j: int) -> IntMatrix:
-    """The transposed incidence matrix of `_subsystem_tuples(n, j)`: column
-    i marks the indices of the i-th tuple of the square subsystem that
-    `reconstruct_exponents` solves."""
+def build_c_matrix(n: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """The transposed incidence matrix of `_subsystem_tuples(n, j)`, as a
+    tuple of n rows: column i marks the indices of the i-th tuple of the
+    square subsystem that `reconstruct_exponents` solves."""
     if n < 2:
         raise ValueError("matrix size must be at least 2")
     if not 1 <= j <= n - 1:
@@ -94,15 +66,16 @@ def build_c_matrix(n: int, j: int) -> IntMatrix:
         for t in tup:
             col[t - 1] = 1
         cols.append(col)
-    return IntMatrix(tuple(zip(*cols)))
+    return tuple(zip(*cols))
 
 
-def det_exact(matrix: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination with row pivoting."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = matrix.rows
-    a = [list(row) for row in matrix.entries]
+def det_exact(rows: tuple[tuple[int, ...], ...]) -> int:
+    """Exact determinant of an integer matrix given as a tuple of rows, by
+    fraction-free elimination with row pivoting."""
+    n = len(rows)
+    if not n or any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a non-empty square matrix")
+    a = [list(row) for row in rows]
     sign = 1
     prev = 1
     for col in range(n - 1):

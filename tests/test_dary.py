@@ -7,7 +7,6 @@ from partwaves.dary import (
     DAryPartition,
     NotPowerOfD,
     count_dary,
-    dary_divisor_set,
     exp_d,
     exponent_of_power,
     integer_log,
@@ -17,9 +16,11 @@ from partwaves.dary import (
     wave_d,
 )
 from partwaves.partitions import PartsList, denumerant_dp, enumerate_restricted
+from partwaves.quasipoly import denumerant_formula
 from partwaves.waves import (
     LITERAL,
     NotDivisor,
+    divisor_set,
     polynomial_part_average,
     polynomial_part_bernoulli,
     wave,
@@ -42,7 +43,7 @@ def test_dary_partition_basics():
     assert mu.parts == (8, 2, 1)
     assert mu.size == 11
     assert mu.length == 3
-    assert mu.to_partition() == Partition((8, 2, 1))
+    assert Partition(mu.parts) == Partition((8, 2, 1))
     assert DAryPartition.from_parts(2, (8, 2, 1)) == mu
     with pytest.raises(ValueError):
         DAryPartition(2, (1, 3))
@@ -128,9 +129,8 @@ def test_count_dary_window_stability():
         for n in range(1, 81):
             k = integer_log(d, n)
             base = count_dary(d, n)
-            assert count_dary(d, n, k) == base
-            assert count_dary(d, n, k + 1) == base
-            assert count_dary(d, n, k + 2) == base
+            assert denumerant_formula(window(d, k + 1), n) == base
+            assert denumerant_formula(window(d, k + 2), n) == base
 
 
 def test_count_dary_validation():
@@ -138,16 +138,6 @@ def test_count_dary_validation():
         count_dary(2, 0)
     with pytest.raises(ValueError):
         count_dary(1, 5)
-    with pytest.raises(ValueError):
-        count_dary(2, 8, k=2)  # needs n < d**(k+1) = 8
-    with pytest.raises(ValueError):
-        count_dary(2, 8, k=-1)
-
-
-def test_dary_divisor_set():
-    assert dary_divisor_set(2, 8) == (1, 2, 4, 8)
-    assert dary_divisor_set(3, 20) == (1, 3, 9)
-    assert dary_divisor_set(5, 4) == (1,)
 
 
 def test_wave_d_golden():
@@ -162,7 +152,7 @@ def test_wave_d_matches_general_wave():
         for n in range(1, 31):
             k = integer_log(d, n)
             a = window(d, k)
-            for j in dary_divisor_set(d, n):
+            for j in divisor_set(a):
                 assert wave_d(j, d, n) == wave(j, a, n)
 
 
@@ -181,14 +171,14 @@ def test_wave_d_literal_variant():
         k = integer_log(d, n)
         assert k <= 1
         a = window(d, k)
-        for j in dary_divisor_set(d, n):
+        for j in divisor_set(a):
             got = outcome(lambda: wave_d(j, d, n, variant=LITERAL))
             want = outcome(lambda: wave(j, a, n, variant=LITERAL))
             assert got == want
     # for k >= 2 the literal reading is kept only for audit; it must still
     # evaluate (or report irrationality) without crashing
     for d, n in [(2, 4), (2, 11), (3, 9), (3, 20)]:
-        for j in dary_divisor_set(d, n):
+        for j in divisor_set(window(d, integer_log(d, n))):
             outcome(lambda: wave_d(j, d, n, variant=LITERAL))
 
 
@@ -197,8 +187,8 @@ def test_wave_d_sum_equals_count():
     # windows the wave-tables benchmark leaves out: D = 2**9 and D = 5**3
     cases += [(2, 1000), (5, 300)]
     for d, n in cases:
-        total = sum(wave_d(j, d, n) for j in dary_divisor_set(d, n))
         a = window(d, integer_log(d, n))
+        total = sum(wave_d(j, d, n) for j in divisor_set(a))
         assert total == count_dary(d, n) == denumerant_dp(a, n)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from partwaves.dary import DAryPartition, poly_part_d_average, poly_part_d_bernoulli
 from partwaves.exact import NotRational
 from partwaves.partitions import (
+    Partition,
     PartsList,
     SubsetProductMap,
     denumerant_dp,
@@ -108,7 +109,7 @@ def partitions_and_orders(draw, min_length=2, j_margin=0):
 @given(case=partitions_and_orders())
 def test_reconstruction_round_trip(case):
     mu, j = case
-    products = positional_products(mu.to_partition(), j)
+    products = positional_products(Partition(mu.parts), j)
     assert reconstruct_exponents(products, mu.base) == mu
 
 
@@ -118,7 +119,7 @@ def test_one_corrupted_product_is_inconsistent(case, data):
     # For 2 <= j <= ell - 2 the product system is overdetermined and no
     # exponent vector fits it after any single product is scaled by d.
     mu, j = case
-    products = dict(positional_products(mu.to_partition(), j).items())
+    products = dict(positional_products(Partition(mu.parts), j).items())
     target = data.draw(st.sampled_from(sorted(products)))
     products[target] *= mu.base
     with pytest.raises(InconsistentData):

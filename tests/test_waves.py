@@ -135,7 +135,7 @@ def test_polynomial_part_leading_coefficient():
         a = PartsList(parts)
         r = len(parts)
         expected = Fraction(1, math.factorial(r - 1) * math.prod(parts))
-        assert polynomial_part_average(a).leading_coefficient == expected
+        assert polynomial_part_average(a).coeffs[-1] == expected
 
 
 def test_integer_weight_matches_cyclotomic_sum():

@@ -8,8 +8,9 @@ Each SRC is a directory holding the `partwaves` package (a checkout's
 once per tree, each tree in its own subprocess, and every argv whose stdout,
 stderr or exit code differ between the trees is listed.  The list covers
 every subcommand in all three formats, both wave variants, the `--parts`
-and `--d` forms, wave tables at n below j, at D up to 512 and on the large
-`--d` windows D = 2**14, 2**15, 2**16, 3**9 and 5**7, usage errors,
+and `--d` forms, wave tables at n below j, at D up to 512 (in the literal
+variant too) and on the large `--d` windows D = 2**14, 2**15, 2**16, 3**9
+and 5**7, usage errors, data errors of every subcommand,
 each subcommand's `--help`, valid, corrupted, not-a-power and malformed
 `reconstruct` inputs, and argv that does or does not begin with a command
 name.
@@ -67,13 +68,16 @@ def argv_list() -> list[list[str]]:
     ]
     # One wave evaluation expands only the residue class of n; these reach
     # that path at D = 64, 512 and 125, at n below j, and in the literal
-    # variant, which expands every class.
+    # variant, which expands every class and reduces modulo Phi_j at
+    # D = 512 and D = 60.
     single_waves = [
         ["waves", "--d", "2", "--n", "100", "--format", fmt] for fmt in FORMATS
     ] + [
         ["waves", "--d", "2", "--n", "1000"],
         ["waves", "--d", "5", "--n", "300"],
         ["waves", "--d", "3", "--n", "50", "--variant", "literal"],
+        ["waves", "--d", "2", "--n", "1000", "--variant", "literal"],
+        ["waves", "--parts", "3,4,10", "--n", "700", "--variant", "literal"],
         ["waves", "--parts", "3,6,7", "--n", "700"],
         ["waves", "--parts", "2,3,9", "--n", "0"],
         ["waves", "--parts", "2,3,9", "--n", "5"],
@@ -119,6 +123,10 @@ def argv_list() -> list[list[str]]:
         ["count", "--parts", "1,x", "--n", "8"],
         ["count", "--parts", "1,1", "--n", "8"],
         ["count", "--parts", "1,3", "--n", "-1"],
+        ["waves", "--parts", "1,3", "--n", "-1"],
+        ["poly-part", "--parts", "1,2", "--at", "-1"],
+        ["verify", "--mode", "circulant"],
+        _reconstruct("1:5", d=5, j=1),
         ["dary-count", "--d", "1", "--n", "5"],
         ["poly-part"],
         ["poly-part", "--parts", "1,2", "--d", "2", "--k", "1"],
