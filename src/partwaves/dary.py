@@ -5,8 +5,8 @@ polynomial part.
 For n below d**(k+1) a partition into powers of d only uses the parts
 1, d, ..., d**k, so with window k = floor(log_d(n)) the count, its waves and
 its polynomial part are the general ones of the parts list (1, d, ..., d**k),
-period D = d**k; the functions here validate the base and window and call
-the general routes.
+period D = d**k; `_powers_list` checks the base and k and builds that
+window, and the functions here call the general routes on it.
 
 The same variant switch as in `waves` applies here.  Besides the weighting,
 the literal variant also keeps a defective reading of the window sum in
@@ -18,6 +18,7 @@ which `waves._build_wave` builds the wave, as it does every other wave."""
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .exact import RationalPolynomial
@@ -53,7 +54,7 @@ class NotPowerOfD(ValueError):
 
 
 def _check_base(d: int) -> None:
-    if d < 2:
+    if operator.index(d) < 2:
         raise ValueError("base must be at least 2")
 
 
@@ -76,7 +77,7 @@ class DAryPartition:
 
     def __init__(self, base: int, exponents=()):
         _check_base(base)
-        exps = tuple(int(c) for c in exponents)
+        exps = tuple(map(operator.index, exponents))
         for i, c in enumerate(exps):
             if c < 0:
                 raise ValueError("exponents must be non-negative")
@@ -139,6 +140,9 @@ def integer_log(d: int, n: int) -> int:
 
 
 def _powers_list(d: int, k: int) -> PartsList:
+    _check_base(d)
+    if k < 0:
+        raise ValueError("window k must be non-negative")
     return PartsList(tuple(d**i for i in range(k + 1)))
 
 
@@ -161,12 +165,9 @@ def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
     `wave(j, (1, d, ..., d**k), n)` under the same variant, except for the
     defective literal reading when k >= 2."""
     _check_variant(variant)
-    _check_base(d)
+    k = integer_log(d, n)
     if j < 1:
         raise ValueError("wave index must be positive")
-    if n < 1:
-        raise ValueError("n must be positive")
-    k = integer_log(d, n)
     period = d**k
     if period % j:
         raise NotDivisor(f"{j} does not divide {d}**{k}")
@@ -181,15 +182,9 @@ def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
 def poly_part_d_average(d: int, k: int) -> RationalPolynomial:
     """Polynomial part of the d-ary count for the window n < d**(k+1), via
     the congruence-free average over the window box."""
-    _check_base(d)
-    if k < 0:
-        raise ValueError("window k must be non-negative")
     return polynomial_part_average(_powers_list(d, k))
 
 
 def poly_part_d_bernoulli(d: int, k: int) -> RationalPolynomial:
     """The same window polynomial via the Bernoulli-number route."""
-    _check_base(d)
-    if k < 0:
-        raise ValueError("window k must be non-negative")
     return polynomial_part_bernoulli(_powers_list(d, k))

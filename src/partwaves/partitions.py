@@ -9,6 +9,7 @@ fixed list by the classic coin-counting dynamic program.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import combinations
 
 __all__ = [
@@ -30,7 +31,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        ps = tuple(int(p) for p in parts)
+        ps = tuple(map(operator.index, parts))
         for i, p in enumerate(ps):
             if p < 1:
                 raise ValueError("partition parts must be positive")
@@ -79,7 +80,7 @@ class PartsList:
     __slots__ = ("parts", "D")
 
     def __init__(self, parts):
-        ps = tuple(int(p) for p in parts)
+        ps = tuple(map(operator.index, parts))
         if not ps:
             raise ValueError("at least one part size is required")
         if any(p < 1 for p in ps):
@@ -123,7 +124,8 @@ class SubsetProductMap:
             raise ValueError("length must be positive")
         if not 1 <= order <= length:
             raise ValueError(f"order must lie in 1..{length}, got {order}")
-        cleaned = {tuple(map(int, key)): int(value) for key, value in products.items()}
+        cleaned = {tuple(map(operator.index, key)): operator.index(value)
+                   for key, value in products.items()}
         if any(value < 1 for value in cleaned.values()):
             raise ValueError("products must be positive")
         # A key is valid when 0 < key[0] < ... < key[-1] < length + 1; keys are

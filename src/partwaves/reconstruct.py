@@ -29,7 +29,6 @@ __all__ = [
     "det_exact",
     "circulant_det_check",
     "CirculantRow",
-    "CirculantReport",
     "reconstruct_exponents",
     "verify_uniqueness",
     "UniquenessReport",
@@ -102,18 +101,9 @@ class CirculantRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class CirculantReport:
-    n_max: int
-    rows: tuple[CirculantRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
-def circulant_det_check(n_max: int) -> CirculantReport:
-    """Sweep det(build_c_matrix(n, j)) == j for 2 <= n <= n_max, all j."""
+def circulant_det_check(n_max: int) -> tuple[CirculantRow, ...]:
+    """Sweep det(build_c_matrix(n, j)) == j for 2 <= n <= n_max, all j: one
+    row per (n, j), in ascending (n, j) order."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     rows = []
@@ -121,7 +111,7 @@ def circulant_det_check(n_max: int) -> CirculantReport:
         for j in range(1, n):
             det = det_exact(build_c_matrix(n, j))
             rows.append(CirculantRow(n, j, det, j, det == j))
-    return CirculantReport(n_max, tuple(rows))
+    return tuple(rows)
 
 
 def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
@@ -170,10 +160,6 @@ def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    d: int
-    length: int
-    max_exponent: int
-    order: int
     vectors_checked: int
     violations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     multiset_only: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -223,6 +209,4 @@ def verify_uniqueness(d: int, ell: int, max_exp: int, j: int) -> UniquenessRepor
                 multiset_only.append((a, b))
     violations.sort()
     multiset_only.sort()
-    return UniquenessReport(
-        d, ell, max_exp, j, len(vectors), tuple(violations), tuple(multiset_only)
-    )
+    return UniquenessReport(len(vectors), tuple(violations), tuple(multiset_only))

@@ -59,7 +59,6 @@ __all__ = [
     "wave_decomposition_check",
     "WaveTerm",
     "WaveCheckRow",
-    "WaveDecompositionReport",
 ]
 
 LITERAL = "literal"
@@ -267,19 +266,6 @@ class WaveCheckRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class WaveDecompositionReport:
-    parts: tuple[int, ...]
-    n_max: int
-    variant: str
-    divisors: tuple[int, ...]
-    rows: tuple[WaveCheckRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
 def _wave_row(n: int, divisors, wave_at, expected: int) -> WaveCheckRow:
     """Sum wave_at(j, n) over the divisors and compare with `expected`; an
     irrational extraction makes its term an error and the row a failure."""
@@ -298,10 +284,11 @@ def _wave_row(n: int, divisors, wave_at, expected: int) -> WaveCheckRow:
 
 def wave_decomposition_check(
     a: PartsList, n_max: int, variant: str = DEFAULT_VARIANT
-) -> WaveDecompositionReport:
+) -> tuple[WaveCheckRow, ...]:
     """Check sum of waves, each built once, against the DP oracle for all
-    n <= n_max.  Failures (including irrational extractions) are data in the
-    returned report, never exceptions; rows are in ascending (n, j) order."""
+    n <= n_max: one row per n, ascending, its terms in ascending j over
+    `divisor_set(a)`.  Failures (including irrational extractions) are data
+    in the rows, never exceptions."""
     _check_variant(variant)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -310,8 +297,7 @@ def wave_decomposition_check(
     specs = [(p, a.D // p) for p in a.parts]
     built = {j: _build_wave(r, a.D, j, specs, variant) for j in divisors}
     expected = denumerant_series(a, n_max)
-    rows = tuple(
+    return tuple(
         _wave_row(n, divisors, lambda j, n: built[j](n), expected[n])
         for n in range(n_max + 1)
     )
-    return WaveDecompositionReport(a.parts, n_max, variant, divisors, rows)

@@ -15,7 +15,12 @@ from partwaves.dary import (
     poly_part_d_bernoulli,
     wave_d,
 )
-from partwaves.partitions import PartsList, denumerant_dp, enumerate_restricted
+from partwaves.partitions import (
+    PartsList,
+    SubsetProductMap,
+    denumerant_dp,
+    enumerate_restricted,
+)
 from partwaves.quasipoly import denumerant_formula
 from partwaves.waves import (
     LITERAL,
@@ -229,3 +234,18 @@ def test_poly_part_d_validation():
         poly_part_d_average(2, -1)
     with pytest.raises(ValueError):
         poly_part_d_bernoulli(1, 2)
+    with pytest.raises(ValueError, match="base must be at least 2"):
+        poly_part_d_average(1, 2)
+
+
+def test_non_integer_inputs_raise_instead_of_truncating():
+    with pytest.raises(TypeError):
+        Partition((2.5, 1))
+    with pytest.raises(TypeError):
+        PartsList((1.5, 3))
+    with pytest.raises(TypeError):
+        DAryPartition(2, (1.9, 0))
+    with pytest.raises(TypeError):
+        SubsetProductMap(2, 1, {(1,): 4.9, (2,): 1})
+    with pytest.raises(TypeError):
+        count_dary(2.5, 10)

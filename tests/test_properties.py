@@ -80,9 +80,9 @@ def _wave_or_error(j, a, n, variant):
        variant=st.sampled_from((TWISTED, LITERAL)))
 def test_sweep_terms_are_single_waves(parts, n_max, variant):
     a = PartsList(parts)
-    report = wave_decomposition_check(a, n_max, variant)
-    assert [row.n for row in report.rows] == list(range(n_max + 1))
-    for row in report.rows:
+    rows = wave_decomposition_check(a, n_max, variant)
+    assert [row.n for row in rows] == list(range(n_max + 1))
+    for row in rows:
         assert row.expected == denumerant_dp(a, row.n)
         assert [term.j for term in row.terms] == list(divisor_set(a))
         for term in row.terms:

@@ -95,13 +95,14 @@ def test_det_exact_matches_laplace_on_random_matrices():
 
 
 def test_circulant_det_check():
-    report = circulant_det_check(10)
-    assert report.ok
-    assert len(report.rows) == sum(n - 1 for n in range(2, 11))
-    by_key = {(row.n, row.j): row for row in report.rows}
+    rows = circulant_det_check(10)
+    assert [(row.n, row.j) for row in rows] == [
+        (n, j) for n in range(2, 11) for j in range(1, n)
+    ]
+    by_key = {(row.n, row.j): row for row in rows}
     assert by_key[(6, 3)].det == 3
     assert by_key[(2, 1)].det == 1
-    assert all(row.det == row.j for row in report.rows)
+    assert all(row.ok and row.det == row.expected == row.j for row in rows)
     with pytest.raises(ValueError):
         circulant_det_check(1)
 

@@ -235,26 +235,25 @@ def test_wave_validation():
 
 
 def test_decomposition_check_passes():
-    report = wave_decomposition_check(PartsList((1, 3)), 30)
-    assert report.ok
-    assert report.divisors == (1, 3)
-    assert len(report.rows) == 31
-    for row in report.rows:
+    rows = wave_decomposition_check(PartsList((1, 3)), 30)
+    assert [row.n for row in rows] == list(range(31))
+    for row in rows:
+        assert row.ok
         assert row.total == row.expected
         assert row.residual == 0
         assert [term.j for term in row.terms] == [1, 3]
 
     only_one = wave_decomposition_check(PartsList((1,)), 10)
-    assert only_one.ok
-    assert only_one.divisors == (1,)
+    assert all(row.ok for row in only_one)
+    assert all([term.j for term in row.terms] == [1] for row in only_one)
 
-    assert wave_decomposition_check(PartsList((1, 2, 4)), 50).ok
+    assert all(row.ok for row in wave_decomposition_check(PartsList((1, 2, 4)), 50))
 
 
 def test_decomposition_check_literal_failures_are_data():
-    report = wave_decomposition_check(PartsList((1, 3)), 6, variant=LITERAL)
-    assert not report.ok
-    for row in report.rows:
+    rows = wave_decomposition_check(PartsList((1, 3)), 6, variant=LITERAL)
+    assert len(rows) == 7
+    for row in rows:
         assert not row.ok
         assert row.total is None
         by_j = {term.j: term for term in row.terms}
@@ -430,7 +429,7 @@ def test_waves_build_nothing_box_sized(monkeypatch):
 
     for module in (quasipoly, waves):
         monkeypatch.setattr(module, "_spread", spy)
-    assert wave_decomposition_check(sparse, 30).ok
+    assert all(row.ok for row in wave_decomposition_check(sparse, 30))
     assert sum(wave(j, dense, 1000) for j in divisor_set(dense)) == denumerant_dp(dense, 1000)
 
 

@@ -10,8 +10,9 @@ stderr or exit code differ between the trees is listed.  The list covers
 every subcommand in all three formats, both wave variants, the `--parts`
 and `--d` forms, wave tables at n below j, at D up to 512 (in the literal
 variant too) and on the large `--d` windows D = 2**14, 2**15, 2**16, 3**9
-and 5**7, usage errors, data errors of every subcommand,
-each subcommand's `--help`, valid, corrupted, not-a-power and malformed
+and 5**7, usage errors, data errors of every subcommand, the base errors of
+`poly-part --d` and `verify --mode uniqueness`, the one-row waves sweep, the
+smallest circulant sweep and the k = 0 window, each subcommand's `--help`, valid, corrupted, not-a-power and malformed
 `reconstruct` inputs, and argv that does or does not begin with a command
 name.
 
@@ -166,6 +167,16 @@ def argv_list() -> list[list[str]]:
          "--var", "literal"],
         ["count", "--parts", "1,3", "--n", "8", "--format"],
     ]
+    # Errors raised by the window and base checks the library shares, and the
+    # smallest sweeps and window, each in json.
+    edges = [
+        ["poly-part", "--d", "1", "--k", "2"],
+        ["verify", "--mode", "uniqueness", "--d", "1", "--ell", "3",
+         "--max-exp", "1", "--j", "1"],
+        ["verify", "--mode", "waves", "--parts", "1,3", "--n-max", "0"],
+        ["verify", "--mode", "circulant", "--n-max", "2"],
+        ["waves", "--d", "2", "--n", "1"],
+    ]
     argvs = [argv + ["--format", fmt] for argv in formatted for fmt in FORMATS]
     argvs += [
         argv + ["--variant", variant, "--format", fmt]
@@ -174,7 +185,7 @@ def argv_list() -> list[list[str]]:
         for fmt in FORMATS
     ]
     argvs += single_waves + large_windows
-    argvs += failing + [argv + ["--format", "json"] for argv in failing]
+    argvs += failing + [argv + ["--format", "json"] for argv in failing + edges]
     return argvs + usage + boundary
 
 
