@@ -338,7 +338,7 @@ def _cmd_verify(args):
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"--mode uniqueness requires {flag}")
         report = verify_uniqueness(args.d, args.ell, args.max_exp, args.j)
-        ok = report.ok
+        ok = not report.violations
         record = {
             "command": "verify",
             "inputs": {

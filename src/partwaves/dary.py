@@ -86,11 +86,6 @@ class DAryPartition:
         self.base = base
         self.exponents = exps
 
-    @classmethod
-    def from_parts(cls, base: int, parts) -> "DAryPartition":
-        """Build from explicit parts, each an exact power of the base."""
-        return cls(base, tuple(exponent_of_power(p, base) for p in parts))
-
     @property
     def parts(self) -> tuple[int, ...]:
         return tuple(self.base**c for c in self.exponents)
@@ -117,7 +112,6 @@ class DAryPartition:
 
 def exp_d(lam: Partition, d: int) -> DAryPartition:
     """Send each part p to the power d**(p-1); inverse of `log_d`."""
-    _check_base(d)
     return DAryPartition(d, tuple(p - 1 for p in lam.parts))
 
 

@@ -49,15 +49,6 @@ class Partition:
         """Number of parts."""
         return len(self.parts)
 
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def __eq__(self, other):
         if isinstance(other, Partition):
             return self.parts == other.parts
@@ -145,9 +136,6 @@ class SubsetProductMap:
         self.products = {
             key: cleaned[key] for key in combinations(range(1, length + 1), order)
         }
-
-    def __getitem__(self, key):
-        return self.products[tuple(key)]
 
     def items(self):
         return self.products.items()

@@ -17,7 +17,7 @@ every remaining equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, combinations_with_replacement
 
 from .dary import DAryPartition, _check_base, exponent_of_power
@@ -92,13 +92,7 @@ def det_exact(rows: tuple[tuple[int, ...], ...]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class CirculantRow:
-    n: int
-    j: int
-    det: int
-    expected: int
-    ok: bool
+CirculantRow = namedtuple("CirculantRow", "n j det expected ok")
 
 
 def circulant_det_check(n_max: int) -> tuple[CirculantRow, ...]:
@@ -158,24 +152,19 @@ def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
     return DAryPartition(d, tuple(exponents))
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    vectors_checked: int
-    violations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    multiset_only: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+UniquenessReport = namedtuple(
+    "UniquenessReport", "vectors_checked violations multiset_only"
+)
 
 
 def verify_uniqueness(d: int, ell: int, max_exp: int, j: int) -> UniquenessReport:
     """Exhaustive sweep over d-ary partitions with `ell` parts and exponents
     up to max_exp: no two may share their positional product map.
 
-    Violations of positional uniqueness are asserted data (the report is not
-    ok if any exist).  Pairs that share only the multiset of products are
-    collected as informational rows and never asserted against."""
+    `violations` lists the pairs of exponent vectors that do share it; the
+    claim holds when there are none.  `multiset_only` lists the pairs that
+    share only the multiset of products, as informational rows never
+    asserted against.  Both are sorted."""
     _check_base(d)
     if ell < 2:
         raise ValueError("length must be at least 2")
@@ -189,23 +178,20 @@ def verify_uniqueness(d: int, ell: int, max_exp: int, j: int) -> UniquenessRepor
     )
     index_tuples = list(combinations(range(1, ell + 1), j))
     signatures = {}
-    by_positional = {}
     by_multiset = {}
     for vec in vectors:
         sig = tuple(sum(vec[i - 1] for i in tup) for tup in index_tuples)
         signatures[vec] = sig
-        by_positional.setdefault(sig, []).append(vec)
         by_multiset.setdefault(tuple(sorted(sig)), []).append(vec)
+    # Equal positional products have equal multisets, so every pair of
+    # either kind lies inside one multiset group.
     violations = []
-    for sig in sorted(by_positional):
-        group = by_positional[sig]
-        for a, b in combinations(group, 2):
-            violations.append((a, b))
     multiset_only = []
-    for msig in sorted(by_multiset):
-        group = by_multiset[msig]
+    for group in by_multiset.values():
         for a, b in combinations(group, 2):
-            if signatures[a] != signatures[b]:
+            if signatures[a] == signatures[b]:
+                violations.append((a, b))
+            else:
                 multiset_only.append((a, b))
     violations.sort()
     multiset_only.sort()

@@ -32,7 +32,7 @@ Two weightings are exposed:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -249,21 +249,9 @@ def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fracti
     return _build_wave(len(a.parts), a.D, j, specs, variant)(n)
 
 
-@dataclass(frozen=True)
-class WaveTerm:
-    j: int
-    value: Fraction | None
-    error: str = ""
-
-
-@dataclass(frozen=True)
-class WaveCheckRow:
-    n: int
-    terms: tuple[WaveTerm, ...]
-    total: Fraction | None
-    expected: int
-    residual: Fraction | None
-    ok: bool
+# A term's value is None when its extraction failed; error then says why.
+WaveTerm = namedtuple("WaveTerm", "j value error", defaults=("",))
+WaveCheckRow = namedtuple("WaveCheckRow", "n terms total expected residual ok")
 
 
 def _wave_row(n: int, divisors, wave_at, expected: int) -> WaveCheckRow:

@@ -149,7 +149,7 @@ def test_criterion_6_reconstruction_round_trip_and_uniqueness():
                     spm = positional_products(Partition(mu.parts), j)
                     if reconstruct_exponents(spm, d) != mu:
                         failures.append(("round trip", d, vec, j))
-                if not verify_uniqueness(d, ell, 3, j).ok:
+                if verify_uniqueness(d, ell, 3, j).violations:
                     failures.append(("uniqueness", d, ell, j))
     _report(6, "product data reconstructs exponents uniquely", failures,
             time.perf_counter() - start, budget=120.0)

@@ -49,15 +49,13 @@ def test_dary_partition_basics():
     assert mu.size == 11
     assert mu.length == 3
     assert Partition(mu.parts) == Partition((8, 2, 1))
-    assert DAryPartition.from_parts(2, (8, 2, 1)) == mu
+    assert DAryPartition(2, [3, 1, 0]) == mu
     with pytest.raises(ValueError):
         DAryPartition(2, (1, 3))
     with pytest.raises(ValueError):
         DAryPartition(2, (2, -1))
     with pytest.raises(ValueError):
         DAryPartition(1, (2,))
-    with pytest.raises(NotPowerOfD):
-        DAryPartition.from_parts(2, (6,))
 
 
 def test_exponent_of_power():
@@ -77,8 +75,8 @@ def test_exp_log_golden():
     assert exp_d(Partition((3, 1)), 2).parts == (4, 1)
     assert exp_d(Partition((1, 1, 1)), 7).parts == (1, 1, 1)
     assert exp_d(Partition((2, 2, 1)), 3).parts == (3, 3, 1)
-    assert log_d(DAryPartition.from_parts(2, (4, 1))) == Partition((3, 1))
-    assert log_d(DAryPartition.from_parts(3, (9, 9, 3))) == Partition((3, 3, 2))
+    assert log_d(DAryPartition(2, (2, 0))) == Partition((3, 1))
+    assert log_d(DAryPartition(3, (2, 2, 1))) == Partition((3, 3, 2))
 
 
 def test_exp_log_round_trip_random():

@@ -1,7 +1,11 @@
 """The package surface: every public name is listed once, by the module that
-defines it, and the package re-exports those lists in module order."""
+defines it, the package re-exports those lists in module order, and importing
+it loads neither `dataclasses` nor `inspect`."""
 
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import partwaves
 from partwaves import dary, exact, partitions, quasipoly, reconstruct, waves
@@ -26,3 +30,16 @@ def test_package_reexports_every_module_list():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(partwaves, name) is getattr(module, name), name
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # -I -S: no site packages and no PYTHONPATH, so only the package itself
+    # can pull these modules in.
+    src = str(Path(partwaves.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import partwaves; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -27,9 +27,7 @@ def test_partition_basics():
     lam = Partition((3, 2, 1, 1))
     assert lam.size == 7
     assert lam.length == 4
-    assert len(lam) == 4
-    assert list(lam) == [3, 2, 1, 1]
-    assert lam[0] == 3
+    assert lam.parts == (3, 2, 1, 1)
     empty = Partition(())
     assert empty.size == 0
     assert empty.length == 0
@@ -135,14 +133,14 @@ def test_elementary_symmetric_partition_golden():
 
 def test_positional_products_golden():
     spm = positional_products(Partition((9, 3, 1)), 2)
-    assert spm[(1, 2)] == 27
-    assert spm[(1, 3)] == 9
-    assert spm[(2, 3)] == 3
+    assert spm.products[(1, 2)] == 27
+    assert spm.products[(1, 3)] == 9
+    assert spm.products[(2, 3)] == 3
     assert spm.length == 3 and spm.order == 2
     one = positional_products(Partition((4, 2)), 1)
-    assert one[(1,)] == 4 and one[(2,)] == 2
+    assert one.products[(1,)] == 4 and one.products[(2,)] == 2
     full = positional_products(Partition((4, 2)), 2)
-    assert full[(1, 2)] == 8
+    assert full.products[(1, 2)] == 8
 
 
 def test_products_match_symmetric_partition():

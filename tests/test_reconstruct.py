@@ -132,7 +132,7 @@ def test_reconstruct_j_one_identity():
 
 
 def test_reconstruct_round_trip_golden():
-    lam = DAryPartition.from_parts(2, (8, 4, 2, 1))
+    lam = DAryPartition(2, (3, 2, 1, 0))
     spm = positional_products(Partition(lam.parts), 2)
     assert reconstruct_exponents(spm, 2).exponents == (3, 2, 1, 0)
 
@@ -255,10 +255,8 @@ def brute_uniqueness(ell, max_exp, j):
 
 def test_verify_uniqueness_golden():
     report = verify_uniqueness(2, 3, 3, 2)
-    assert report.ok
     assert report.violations == ()
     report = verify_uniqueness(3, 2, 2, 1)
-    assert report.ok
     assert report.violations == ()
 
 

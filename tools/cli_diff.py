@@ -11,8 +11,10 @@ every subcommand in all three formats, both wave variants, the `--parts`
 and `--d` forms, wave tables at n below j, at D up to 512 (in the literal
 variant too) and on the large `--d` windows D = 2**14, 2**15, 2**16, 3**9
 and 5**7, usage errors, data errors of every subcommand, the base errors of
-`poly-part --d` and `verify --mode uniqueness`, the one-row waves sweep, the
-smallest circulant sweep and the k = 0 window, each subcommand's `--help`, valid, corrupted, not-a-power and malformed
+`poly-part --d` and `verify --mode uniqueness`, uniqueness sweeps with and
+without multiset-only pairs (7 pairs, 5 of them shown, and 2 pairs), the
+one-row waves sweep, the smallest circulant sweep and the k = 0 window, each
+subcommand's `--help`, valid, corrupted, not-a-power and malformed
 `reconstruct` inputs, and argv that does or does not begin with a command
 name.
 
@@ -57,6 +59,10 @@ def argv_list() -> list[list[str]]:
         ["verify", "--mode", "circulant", "--n-max", "6"],
         ["verify", "--mode", "uniqueness", "--d", "2", "--ell", "4",
          "--max-exp", "2", "--j", "2"],
+        ["verify", "--mode", "uniqueness", "--d", "2", "--ell", "4",
+         "--max-exp", "5", "--j", "2"],
+        ["verify", "--mode", "uniqueness", "--d", "2", "--ell", "6",
+         "--max-exp", "3", "--j", "3"],
     ]
     wave_commands = [
         ["waves", "--parts", "1,2,4", "--n", "9"],
