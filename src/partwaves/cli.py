@@ -23,8 +23,8 @@ from fractions import Fraction
 from .dary import (
     NotPowerOfD,
     _powers_list,
+    _window_k,
     count_dary,
-    integer_log,
     poly_part_d_average,
     poly_part_d_bernoulli,
     wave_d,
@@ -171,7 +171,7 @@ def _cmd_count(args):
 
 def _cmd_dary_count(args):
     d, n = args.d, args.n
-    k = integer_log(d, n)
+    k = _window_k(d, n)
     window = _powers_list(d, k)
     formula = count_dary(d, n)
     oracle = denumerant_dp(window, n)
@@ -256,7 +256,7 @@ def _cmd_waves(args):
         if args.d is None:
             raise ValueError("need --parts or --d")
         d = args.d
-        k = integer_log(d, n)
+        k = _window_k(d, n)
         a = _powers_list(d, k)
         inputs = {"d": d, "n": n}
         extra = {"k": k, "D": a.D}

@@ -3,10 +3,11 @@ ordinary partitions, and the window formulas for counting, waves, and the
 polynomial part.
 
 For n below d**(k+1) a partition into powers of d only uses the parts
-1, d, ..., d**k, so with window k = floor(log_d(n)) the count, its waves and
-its polynomial part are the general ones of the parts list (1, d, ..., d**k),
-period D = d**k; `_powers_list` checks the base and k and builds that
-window, and the functions here call the general routes on it.
+1, d, ..., d**k, so with window k = floor(log_d(n)), or k = 0 at n = 0
+(`_window_k`), the count, its waves and its polynomial part are the general
+ones of the parts list (1, d, ..., d**k), period D = d**k; `_powers_list`
+checks the base and k and builds that window, and the functions here call
+the general routes on it.
 
 The same variant switch as in `waves` applies here.  Besides the weighting,
 the literal variant also keeps a defective reading of the window sum in
@@ -133,6 +134,14 @@ def integer_log(d: int, n: int) -> int:
     return k
 
 
+def _window_k(d: int, n: int) -> int:
+    """The window k = floor(log_d(n)) of n, and k = 0 for n = 0."""
+    k = integer_log(d, max(n, 1))
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return k
+
+
 def _powers_list(d: int, k: int) -> PartsList:
     _check_base(d)
     if k < 0:
@@ -142,11 +151,11 @@ def _powers_list(d: int, k: int) -> PartsList:
 
 def count_dary(d: int, n: int) -> int:
     """Number of partitions of n into powers of d via the window formula on
-    (1, d, ..., d**k), k = floor(log_d(n)).
+    (1, d, ..., d**k), k = floor(log_d(n)) (k = 0 at n = 0).
 
     A wider window gives the same count (window stability); that is a
     tested property, not a parameter."""
-    value = denumerant_formula(_powers_list(d, integer_log(d, n)), n)
+    value = denumerant_formula(_powers_list(d, _window_k(d, n)), n)
     if value.denominator != 1 or value < 0:
         raise ArithmeticError(f"window formula produced a non-count: {value}")
     return int(value)
@@ -155,11 +164,11 @@ def count_dary(d: int, n: int) -> int:
 def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
     """The j-th Sylvester wave of the d-ary count, via the window formula.
 
-    Requires j to divide d**k for the window k = floor(log_d(n)); equals
+    Requires j to divide d**k for the window k of `count_dary`; equals
     `wave(j, (1, d, ..., d**k), n)` under the same variant, except for the
     defective literal reading when k >= 2."""
     _check_variant(variant)
-    k = integer_log(d, n)
+    k = _window_k(d, n)
     if j < 1:
         raise ValueError("wave index must be positive")
     period = d**k

@@ -1,5 +1,5 @@
-"""Partition data model, enumeration, the DP counting oracle and the
-elementary symmetric partition operations.
+"""Partition data model, the DP counting oracle and the elementary symmetric
+partition operations.
 
 `denumerant_dp` is the ground truth the closed formulas elsewhere in the
 package are checked against: it counts partitions with parts restricted to a
@@ -16,7 +16,6 @@ __all__ = [
     "Partition",
     "PartsList",
     "SubsetProductMap",
-    "enumerate_restricted",
     "denumerant_series",
     "denumerant_dp",
     "elementary_symmetric_value",
@@ -80,12 +79,6 @@ class PartsList:
             raise ValueError("part sizes must be pairwise distinct")
         self.parts = ps
         self.D = math.lcm(*ps)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
 
     def __eq__(self, other):
         if isinstance(other, PartsList):
@@ -154,29 +147,6 @@ class SubsetProductMap:
             f"SubsetProductMap(length={self.length}, order={self.order}, "
             f"products={self.products!r})"
         )
-
-
-def enumerate_restricted(n: int, a: PartsList) -> list[Partition]:
-    """All partitions of n with parts drawn from `a`, lexicographically
-    decreasing; for n == 0 the single empty partition."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    allowed = sorted(a.parts, reverse=True)
-    out = []
-
-    def descend(remaining, start, prefix):
-        if remaining == 0:
-            out.append(Partition(prefix))
-            return
-        for idx in range(start, len(allowed)):
-            p = allowed[idx]
-            if p <= remaining:
-                prefix.append(p)
-                descend(remaining - p, idx, prefix)
-                prefix.pop()
-
-    descend(n, 0, [])
-    return out
 
 
 def denumerant_series(a: PartsList, n_max: int) -> list[int]:

@@ -1,10 +1,13 @@
-"""Closed-formula counting for restricted partitions.
+"""Closed-formula counting for restricted partitions, and the box fold that
+it shares with the waves.
 
-`denumerant_formula` evaluates the exact congruence-filtered sum over the
-box of residue tuples without building the box: it folds all parts but the
-smallest, largest first, into a distribution kept only on multiples of the
-running gcd of the parts folded so far, and reads each needed box entry as a
-strided window sum of that distribution over the smallest part's range.
+`_fold` folds (stride, count) box specs, largest stride first, into the
+distribution of their weighted sums kept only on multiples of the running
+gcd, so each part of a d-ary window spreads with stride 1.
+`denumerant_formula` folds all parts but the smallest and reads each needed
+box entry as a strided window sum of that distribution over the smallest
+part's range, never building the box; `waves._residue_moments` folds the
+short parts of its coordinates.
 
 The module keeps its name because the benchmark's per-layer metrics
 (`bench/tracing.LAYERS` and the `quasipoly.*` names) are keyed on it.
@@ -36,33 +39,41 @@ def _spread(counts: list[int], stride: int, count: int) -> list[int]:
     return out
 
 
+def _fold(specs, g: int) -> tuple[list[int], int]:
+    """Distribution of s = sum(stride_i * t_i), 0 <= t_i < count_i, over the
+    box of the positive-stride `specs`, as (counts, g): counts[i] tuples have
+    s = g * i, where g is the gcd of the strides and the given g.
+
+    The strides fold largest first on multiples of the running gcd, widening
+    only when it drops; the empty box is the single sum 0, a multiple of g."""
+    counts = [1]
+    for stride, count in sorted(specs, reverse=True):
+        g2 = math.gcd(g, stride)
+        if g2 < g:
+            wide = [0] * ((len(counts) - 1) * (g // g2) + 1)
+            wide[:: g // g2] = counts
+            counts, g = wide, g2
+        counts = _spread(counts, stride // g, count)
+    return counts, g
+
+
 def denumerant_formula(a: PartsList, n: int) -> Fraction:
     """Exact closed-formula count of partitions of n with parts in `a`.
 
     Sums the rising product over residue tuples whose weighted sum s is
     congruent to n modulo D, divided by (r-1)!.  The number of tuples with
-    sum s comes from a partial box: the parts but the smallest are folded in
-    descending order into a distribution kept only on multiples of g, the
-    gcd of the parts folded so far, and the smallest part's coordinate is a
-    strided window sum of that distribution.  The full box is never built.
-    The result is a Fraction that is always a non-negative integer equal to
-    `denumerant_dp(a, n)`.
+    sum s comes from a partial box: `_fold` folds the parts but the smallest
+    into a distribution kept only on multiples of g, the gcd of those parts,
+    and the smallest part's coordinate is a strided window sum of it.  The
+    full box is never built.  The result is a Fraction that is always a
+    non-negative integer equal to `denumerant_dp(a, n)`.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     D = a.D
     r = len(a.parts)
     *folded, last = sorted(a.parts, reverse=True)
-    # counts[i] tuples of the folded parts have weighted sum g * i; the empty
-    # fold is the single sum 0, which lies on the multiples of any g | D.
-    counts, g = [1], D
-    for p in folded:
-        g2 = math.gcd(g, p)
-        if g2 < g:
-            wide = [0] * ((len(counts) - 1) * (g // g2) + 1)
-            wide[:: g // g2] = counts
-            counts, g = wide, g2
-        counts = _spread(counts, p // g, D // p)
+    counts, g = _fold([(p, D // p) for p in folded], D)
     # Box entry s sums counts over s - last * t, 0 <= t < D/last, where g
     # divides s - last * t: t = t0 + m * i with m = g/h, h = gcd(g, last),
     # which is D * h / (last * g) terms stepping down by last/h indices.

@@ -7,8 +7,9 @@ split into congruence classes modulo j, each class is expanded into a
 polynomial in n, and the classes are combined with a weight per class; a
 wave is built once, as a function of n, and evaluated at each n.  A class
 enters only through the power sums of its box sums, which `_residue_moments`
-gets from a fold of at most sum(lcm(a_i, j)) values, not from the box; a
-twisted wave reads at most rad(j) of its j classes.
+gets from `quasipoly._fold`, the formula's gcd-ordered fold, of at most
+sum(lcm(a_i, j)) values, not from the box; a twisted wave reads at most
+rad(j) of its j classes.
 
 Two weightings are exposed:
 
@@ -45,7 +46,7 @@ from .exact import (
     stirling_unsigned,
 )
 from .partitions import PartsList, denumerant_series
-from .quasipoly import _spread
+from .quasipoly import _fold
 
 __all__ = [
     "LITERAL",
@@ -103,32 +104,36 @@ def _residue_moments(specs, j: int, t_max: int):
 
     Each t_i is t0 + m*u with m = j/gcd(stride_i, j), which divides count_i
     in every box built here (else m = count_i).  The short parts t0 < m fold
-    into a distribution of at most sum(lcm(stride_i, j)) values; the long
-    parts are multiples of j, so they fold into one residue-free vector of
-    power sums, sum(u**q for u < U) = sum_i S(q, i) * i! * C(U, i + 1) with
-    S the Stirling numbers of the second kind."""
+    by `quasipoly._fold`, from g = j, into at most sum(lcm(stride_i, j))
+    values on the multiples of a divisor g of j: class rho is every (j/g)-th
+    value from rho/g, none unless g | rho.  A zero stride has m = 1.  The
+    long parts are multiples of j, so they fold into one residue-free vector
+    of power sums, sum(u**q for u < U) = sum_i S(q, i) * i! * C(U, i + 1)
+    with S the Stirling numbers of the second kind."""
     stirling = [[1]]
     for _ in range(t_max):
         last = stirling[-1]
         stirling.append([i * s + prev for i, (s, prev)
                          in enumerate(zip(last + [0], [0] + last))])
-    short, long_sums = [1], [1] + [0] * t_max
+    short_specs, long_sums = [], [1] + [0] * t_max
     for stride, count in specs:
         m = j // math.gcd(stride, j)
         if count % m:
             m = count
         if m > 1:
-            short = _spread(short, stride, m)
+            short_specs.append((stride, m))
         if count > m:
             basis = [math.factorial(i) * math.comb(count // m, i + 1)
                      for i in range(t_max + 1)]
             sums = [(stride * m) ** q * sum(map(mul, numbers, basis))
                     for q, numbers in enumerate(stirling)]
             long_sums = _binomial_convolution(long_sums, sums)
+    short, g = _fold(short_specs, j)
 
     @lru_cache(maxsize=j)
     def row(rho: int) -> list[int]:
-        column, values = short[rho::j], range(rho, len(short), j)
+        column = short[rho // g :: j // g] if rho % g == 0 else []
+        values = range(rho, g * len(short), j)
         sums = [sum(column)]
         for _ in range(t_max):
             column = list(map(mul, column, values))

@@ -59,6 +59,18 @@ def test_dary_count_golden(capsys):
     assert record["metadata"]["parts"] == [1, 3, 9]
 
 
+def test_dary_commands_take_n_zero(capsys):
+    rc, record = run_json(capsys, ["dary-count", "--d", "2", "--n", "0"])
+    assert (rc, record["result"]) == (0, 1)
+    assert record["metadata"] == {"k": 0, "parts": [1], "formula": 1, "oracle": 1}
+    rc, record = run_json(capsys, ["waves", "--d", "2", "--n", "0"])
+    assert (rc, record["result"]) == (0, [{"j": 1, "value": 1}])
+    for command in ("dary-count", "waves"):
+        rc, out, err = run(capsys, [command, "--d", "2", "--n", "-1"])
+        assert (rc, out) == (2, "")
+        assert "n must be non-negative" in err
+
+
 def test_json_round_trips_byte_identical(capsys):
     commands = [
         ["count", "--parts", "1,3", "--n", "8"],

@@ -15,12 +15,7 @@ from partwaves.dary import (
     poly_part_d_bernoulli,
     wave_d,
 )
-from partwaves.partitions import (
-    PartsList,
-    SubsetProductMap,
-    denumerant_dp,
-    enumerate_restricted,
-)
+from partwaves.partitions import Partition, PartsList, SubsetProductMap, denumerant_dp
 from partwaves.quasipoly import denumerant_formula
 from partwaves.waves import (
     LITERAL,
@@ -30,7 +25,7 @@ from partwaves.waves import (
     polynomial_part_bernoulli,
     wave,
 )
-from partwaves.partitions import Partition
+from test_partitions import enumerate_restricted
 
 
 def window(d, k):
@@ -112,6 +107,8 @@ def test_count_dary_golden():
     assert count_dary(3, 8) == 3
     assert count_dary(3, 20) == 12
     assert count_dary(2, 8) == 10
+    # b_d(0) = 1 on the k = 0 window (1,), though integer_log rejects 0.
+    assert count_dary(2, 0) == count_dary(5, 0) == 1
 
 
 def test_count_dary_matches_dp():
@@ -138,7 +135,7 @@ def test_count_dary_window_stability():
 
 def test_count_dary_validation():
     with pytest.raises(ValueError):
-        count_dary(2, 0)
+        count_dary(2, -1)
     with pytest.raises(ValueError):
         count_dary(1, 5)
 
@@ -148,6 +145,7 @@ def test_wave_d_golden():
     assert wave_d(3, 3, 8) == Fraction(-1, 3)
     # n < d collapses the window to the single part 1
     assert wave_d(1, 2, 1) == wave(1, PartsList((1,)), 1) == 1
+    assert wave_d(1, 2, 0) == wave_d(1, 3, 0, LITERAL) == 1
 
 
 def test_wave_d_matches_general_wave():
@@ -200,8 +198,10 @@ def test_wave_d_validation():
         wave_d(3, 2, 8)
     with pytest.raises(NotDivisor):
         wave_d(16, 2, 8)  # 16 does not divide 2**3
+    with pytest.raises(NotDivisor):
+        wave_d(2, 2, 0)
     with pytest.raises(ValueError):
-        wave_d(1, 2, 0)
+        wave_d(1, 2, -1)
     with pytest.raises(ValueError):
         wave_d(0, 2, 8)
 

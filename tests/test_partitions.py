@@ -12,9 +12,29 @@ from partwaves.partitions import (
     denumerant_series,
     elementary_symmetric_partition,
     elementary_symmetric_value,
-    enumerate_restricted,
     positional_products,
 )
+
+
+def enumerate_restricted(n, a):
+    """Brute-force oracle: all partitions of n with parts drawn from `a`,
+    lexicographically decreasing; for n == 0 the single empty partition."""
+    allowed = sorted(a.parts, reverse=True)
+    out = []
+
+    def descend(remaining, start, prefix):
+        if remaining == 0:
+            out.append(Partition(prefix))
+            return
+        for idx in range(start, len(allowed)):
+            p = allowed[idx]
+            if p <= remaining:
+                prefix.append(p)
+                descend(remaining - p, idx, prefix)
+                prefix.pop()
+
+    descend(n, 0, [])
+    return out
 
 
 def random_partition(rng, max_part=20, max_length=12):

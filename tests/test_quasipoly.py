@@ -1,12 +1,18 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from partwaves import quasipoly
+from partwaves.dary import count_dary, integer_log, wave_d
 from partwaves.partitions import PartsList, denumerant_dp, denumerant_series
-from partwaves.quasipoly import denumerant_formula
+from partwaves.quasipoly import _fold, denumerant_formula
+from partwaves.waves import divisor_set
 
 
 def brute_formula(a, n):
@@ -79,8 +85,6 @@ def test_formula_when_running_gcd_drops_more_than_once():
 
 
 def test_formula_does_not_build_the_box(monkeypatch):
-    import partwaves.quasipoly as quasipoly
-
     spread = quasipoly._spread
     for parts in [(2, 3, 5, 7), (12, 8, 6, 9), (1, 2, 4, 8)]:
         a = PartsList(parts)
@@ -93,6 +97,43 @@ def test_formula_does_not_build_the_box(monkeypatch):
 
         monkeypatch.setattr(quasipoly, "_spread", spy)
         assert denumerant_formula(a, 100) == denumerant_dp(a, 100)
+
+
+@settings(deadline=None)
+@given(
+    specs=st.lists(st.tuples(st.sampled_from((1, 2, 3, 4, 6, 9, 10, 12, 15, 30)),
+                             st.integers(1, 4)), max_size=5),
+    g=st.sampled_from((1, 6, 30, 60, 180)),
+)
+# The running gcd drops 60 -> 30 -> 10 -> 2 -> 1, with stride 10 twice.
+@example(specs=[(10, 3), (3, 3), (30, 2), (4, 2), (10, 1)], g=60)
+def test_fold_equals_the_enumerated_box(specs, g):
+    box = Counter(sum(stride * t for (stride, _), t in zip(specs, ts))
+                  for ts in product(*(range(count) for _, count in specs)))
+    counts, g_out = _fold(specs, g)
+    assert g_out == math.gcd(g, *(stride for stride, _ in specs))
+    assert len(counts) == max(box) // g_out + 1
+    assert {g_out * i: c for i, c in enumerate(counts) if c} == box
+
+
+def test_dary_windows_fold_with_stride_one(monkeypatch):
+    # On (1, d, ..., d**k) each stride divides the one folded before it, so
+    # the formula and every wave spread each part with stride 1.
+    strides = []
+    spread = quasipoly._spread
+
+    def spy(counts, stride, count):
+        strides.append(stride)
+        return spread(counts, stride, count)
+
+    monkeypatch.setattr(quasipoly, "_spread", spy)
+    for d, n in ((2, 100), (3, 200), (5, 700)):
+        window = PartsList(tuple(d**i for i in range(integer_log(d, n) + 1)))
+        for route in (lambda: count_dary(d, n),
+                      lambda: [wave_d(j, d, n) for j in divisor_set(window)]):
+            strides.clear()
+            route()
+            assert strides and set(strides) == {1}, (d, n)
 
 
 def test_formula_rejects_negative_n():

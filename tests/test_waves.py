@@ -416,7 +416,6 @@ def test_residue_moments_equal_box_enumeration(a, t_max):
 
 def test_waves_build_nothing_box_sized(monkeypatch):
     import partwaves.quasipoly as quasipoly
-    import partwaves.waves as waves
 
     # Both parts lists have period D = 27720; their boxes are about r * D long.
     sparse, dense = PartsList((2, 7, 8, 9, 10, 11)), PartsList(tuple(range(1, 13)))
@@ -427,8 +426,7 @@ def test_waves_build_nothing_box_sized(monkeypatch):
         assert len(out) < sparse.D == dense.D, "a wave built a period-sized list"
         return out
 
-    for module in (quasipoly, waves):
-        monkeypatch.setattr(module, "_spread", spy)
+    monkeypatch.setattr(quasipoly, "_spread", spy)
     assert all(row.ok for row in wave_decomposition_check(sparse, 30))
     assert sum(wave(j, dense, 1000) for j in divisor_set(dense)) == denumerant_dp(dense, 1000)
 

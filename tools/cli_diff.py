@@ -10,10 +10,12 @@ stderr or exit code differ between the trees is listed.  The list covers
 every subcommand in all three formats, both wave variants, the `--parts`
 and `--d` forms, wave tables at n below j, at D up to 512 (in the literal
 variant too) and on the large `--d` windows D = 2**14, 2**15, 2**16, 3**9
-and 5**7, usage errors, data errors of every subcommand, the base errors of
-`poly-part --d` and `verify --mode uniqueness`, uniqueness sweeps with and
-without multiset-only pairs (7 pairs, 5 of them shown, and 2 pairs), the
-one-row waves sweep, the smallest circulant sweep and the k = 0 window, each
+and 5**7, parts lists whose running gcd drops in several steps as they are
+folded, the literal `--d` window at k = 4, usage errors, data errors of
+every subcommand, the base errors of `poly-part --d` and `verify --mode
+uniqueness`, uniqueness sweeps with and without multiset-only pairs (7
+pairs, 5 of them shown, and 2 pairs), the one-row waves sweep, the smallest
+circulant sweep, the k = 0 window at n = 1 and at n = 0, each
 subcommand's `--help`, valid, corrupted, not-a-power and malformed
 `reconstruct` inputs, and argv that does or does not begin with a command
 name.
@@ -96,6 +98,15 @@ def argv_list() -> list[list[str]]:
     ] + [
         ["waves", "--d", "3", "--n", "20000"],
         ["waves", "--d", "5", "--n", "100000"],
+    ]
+    # The running gcd of the folded strides drops in several steps: 30, 15,
+    # 5 for the formula on 6,10,15, and 180, 45, 5, 1 on 12,18,20,45.  The
+    # literal d-ary window at k = 4 folds its defective specs.
+    gcd_drops = [
+        ["waves", "--parts", "6,10,15", "--n", "500"],
+        ["count", "--parts", "12,18,20,45", "--n", "4000"],
+        ["verify", "--mode", "waves", "--parts", "4,6,9", "--n-max", "40"],
+        ["waves", "--d", "2", "--n", "20", "--variant", "literal"],
     ]
     failing = [
         # not a power of d
@@ -182,6 +193,8 @@ def argv_list() -> list[list[str]]:
         ["verify", "--mode", "waves", "--parts", "1,3", "--n-max", "0"],
         ["verify", "--mode", "circulant", "--n-max", "2"],
         ["waves", "--d", "2", "--n", "1"],
+        ["dary-count", "--d", "2", "--n", "0"],
+        ["waves", "--d", "2", "--n", "0"],
     ]
     argvs = [argv + ["--format", fmt] for argv in formatted for fmt in FORMATS]
     argvs += [
@@ -190,7 +203,7 @@ def argv_list() -> list[list[str]]:
         for variant in VARIANTS
         for fmt in FORMATS
     ]
-    argvs += single_waves + large_windows
+    argvs += single_waves + large_windows + gcd_drops
     argvs += failing + [argv + ["--format", "json"] for argv in failing + edges]
     return argvs + usage + boundary
 
