@@ -3,7 +3,12 @@ partition operations.
 
 `denumerant_dp` is the ground truth the closed formulas elsewhere in the
 package are checked against: it counts partitions with parts restricted to a
-fixed list by the classic coin-counting dynamic program.
+fixed list by the classic coin-counting dynamic program, run only on the
+residue classes the one count reads.  The parts are added in an order where
+G, the gcd of the parts still to come, grows fast (on a d-ary window 1, d,
+d**2, ..., so G = d**i), and after each part only the sums congruent to n
+modulo G are kept.  `denumerant_series` is the plain DP over every sum up to
+n_max, for callers that need the whole series.
 """
 
 from __future__ import annotations
@@ -161,11 +166,52 @@ def denumerant_series(a: PartsList, n_max: int) -> list[int]:
     return ways
 
 
+def _dp_order(parts) -> list[int]:
+    """The order in which `denumerant_dp` adds the parts: greedily, the part
+    whose removal leaves the largest gcd of the rest, ties going to the part
+    with the smallest sum of gcds with the rest."""
+    rest = list(parts)
+    order = []
+    while rest:
+        keys = []
+        for p in rest:
+            others = [q for q in rest if q != p]
+            keys.append((-math.gcd(*others), sum(math.gcd(p, q) for q in others)))
+        order.append(rest.pop(keys.index(min(keys))))
+    return order
+
+
 def denumerant_dp(a: PartsList, n: int) -> int:
-    """Number of partitions of n with parts in `a`; the package-wide oracle."""
+    """Number of partitions of n with parts in `a`; the package-wide oracle.
+
+    The coin DP restricted to the entries that the count of n reads.  The
+    parts are added in `_dp_order`; once a part is added, only the sums m
+    with m = n (mod G) are kept, G the gcd of the parts still to come,
+    indexed as m = n - G*t, so a coarser G is one slice.  The first part is
+    an indicator, each middle part a running sum, the last part one sum.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return denumerant_series(a, n)[n]
+    first, *rest = order = _dp_order(a.parts)
+    g = math.gcd(*order)
+    if n % g:
+        return 0
+    if not rest:
+        return 1
+    G = math.gcd(*rest)
+    # first divides n - G*t exactly when t = n/g * (G/g)^-1 mod first/g.
+    step = first // g
+    start = n // g * pow(G // g, -1, step) % step
+    ways = [0] * (n // G + 1)
+    ways[start::step] = [1] * len(range(start, len(ways), step))
+    for i, p in enumerate(rest[:-1], 1):
+        s = p // G
+        for t in range(len(ways) - 1 - s, -1, -1):
+            ways[t] += ways[t + s]
+        coarser = math.gcd(*rest[i:])
+        if coarser > G:
+            ways, G = ways[:: coarser // G], coarser
+    return sum(ways)
 
 
 def elementary_symmetric_value(lam: Partition, j: int) -> int:

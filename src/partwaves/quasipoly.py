@@ -28,14 +28,20 @@ __all__ = ["denumerant_formula"]
 def _spread(counts: list[int], stride: int, count: int) -> list[int]:
     """Distribution after adding stride * t, 0 <= t < count, to each value:
     out[s] = counts[s] + counts[s - stride] + ... (count terms)."""
-    out = [0] * (len(counts) + stride * (count - 1))
-    for c in range(stride):
-        # Running sum, per residue class, of the class minus the class
-        # shifted by `count` places; the differences are made lazily.
-        cls = counts[c::stride]
-        out[c::stride] = accumulate(
+
+    def running(cls):
+        # Running sum of the class minus the class shifted by `count`
+        # places; the differences are made lazily.
+        return accumulate(
             map(sub, chain(cls, repeat(0, count - 1)), chain(repeat(0, count), cls))
         )
+
+    if stride == 1:
+        # One class: no copy of it and no preallocated output to copy into.
+        return list(running(counts))
+    out = [0] * (len(counts) + stride * (count - 1))
+    for c in range(stride):
+        out[c::stride] = running(counts[c::stride])
     return out
 
 

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from partwaves import partitions
 from partwaves.partitions import (
     Partition,
     PartsList,
@@ -13,6 +14,7 @@ from partwaves.partitions import (
     elementary_symmetric_partition,
     elementary_symmetric_value,
     positional_products,
+    _dp_order,
 )
 
 
@@ -126,6 +128,30 @@ def test_dp_matches_enumeration():
         a = PartsList(parts)
         for n in range(0, 61):
             assert denumerant_dp(a, n) == len(enumerate_restricted(n, a))
+
+
+def test_dp_builds_no_full_series(monkeypatch):
+    window = PartsList(tuple(2**i for i in range(14)))
+    general = PartsList((8, 9, 10, 11, 12, 14))
+    expected = [denumerant_series(window, 9079)[9079],
+                denumerant_series(general, 5000)[5000]]
+
+    def forbidden(*args):
+        raise AssertionError("denumerant_dp built the whole series")
+
+    monkeypatch.setattr(partitions, "denumerant_series", forbidden)
+    assert [denumerant_dp(window, 9079), denumerant_dp(general, 5000)] == expected
+
+
+def test_dp_order_takes_the_part_leaving_the_largest_gcd():
+    # A d-ary window goes 1, d, d**2, ... in any given order, so the parts
+    # still to come always have gcd d**i.
+    assert _dp_order((27, 1, 9, 3, 81)) == [1, 3, 9, 27, 81]
+    assert _dp_order(tuple(2**i for i in range(14))) == [2**i for i in range(14)]
+    # Any first part leaves gcd 1 and 11 shares least with the rest; then 9
+    # leaves gcd 2; 10 and 14 tie at gcd 2 and a gcd sum of 6, and the first
+    # given wins; then 14 leaves gcd 4 and 8 leaves 12.
+    assert _dp_order((8, 9, 10, 11, 12, 14)) == [11, 9, 10, 14, 8, 12]
 
 
 def test_elementary_symmetric_value_golden():

@@ -51,6 +51,28 @@ def test_formula_equals_dp(parts, data):
     assert denumerant_formula(a, n) == denumerant_dp(a, n)
 
 
+@st.composite
+def parts_with_common_gcd(draw):
+    # 1-7 distinct parts <= 30, all multiples of one g, so that n falls both
+    # on and off the multiples of gcd(parts).
+    g = draw(st.sampled_from((1, 1, 2, 3, 6)))
+    parts = draw(st.lists(st.integers(1, 30 // g), min_size=1, max_size=7, unique=True))
+    return [g * p for p in parts]
+
+
+@settings(deadline=None, max_examples=200)
+@given(parts=parts_with_common_gcd(), n=st.integers(0, 500))
+@example(parts=[7], n=0)
+@example(parts=[7], n=49)
+@example(parts=[7], n=50)
+@example(parts=[4, 6, 10], n=301)
+@example(parts=[4, 6, 10], n=300)
+@example(parts=[6, 10, 15], n=0)
+def test_dp_equals_the_series_entry(parts, n):
+    a = PartsList(parts)
+    assert denumerant_dp(a, n) == denumerant_series(a, n)[n]
+
+
 @settings(deadline=None)
 @given(parts=parts_lists)
 @example(parts=[1])

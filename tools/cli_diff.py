@@ -11,7 +11,9 @@ every subcommand in all three formats, both wave variants, the `--parts`
 and `--d` forms, wave tables at n below j, at D up to 512 (in the literal
 variant too) and on the large `--d` windows D = 2**14, 2**15, 2**16, 3**9
 and 5**7, parts lists whose running gcd drops in several steps as they are
-folded, the literal `--d` window at k = 4, usage errors, data errors of
+folded, the DP oracle's residue classes (a gcd of the parts that does
+not divide n, one part, six parts, the windows at k = 15 and k = 0), the
+literal `--d` window at k = 4, usage errors, data errors of
 every subcommand, the base errors of `poly-part --d` and `verify --mode
 uniqueness`, uniqueness sweeps with and without multiset-only pairs (7
 pairs, 5 of them shown, and 2 pairs), the one-row waves sweep, the smallest
@@ -108,6 +110,19 @@ def argv_list() -> list[list[str]]:
         ["verify", "--mode", "waves", "--parts", "4,6,9", "--n-max", "40"],
         ["waves", "--d", "2", "--n", "20", "--variant", "literal"],
     ]
+    # The DP oracle keeps only the classes of n modulo the gcd of the parts
+    # still to add: gcd 2 not dividing n, a gcd that grows 1, 5, 15, one
+    # part on and off its multiples, six parts, the k = 15 and k = 0
+    # windows, and a wave table whose last parts share gcd 3.
+    dp_classes = [
+        ["count", "--parts", "4,6,10", "--n", "1001"],
+        ["count", "--parts", "6,10,15", "--n", "3000"],
+        *(["count", "--parts", "7", "--n", n] for n in ("0", "49", "50")),
+        ["count", "--parts", "8,9,10,11,12,14", "--n", "20000"],
+        ["dary-count", "--d", "2", "--n", "65535"],
+        ["dary-count", "--d", "7", "--n", "0"],
+        ["waves", "--parts", "4,6,9", "--n", "1000"],
+    ]
     failing = [
         # not a power of d
         _reconstruct("1,2:27;1,3:9;2,3:3", d=2),
@@ -203,7 +218,7 @@ def argv_list() -> list[list[str]]:
         for variant in VARIANTS
         for fmt in FORMATS
     ]
-    argvs += single_waves + large_windows + gcd_drops
+    argvs += single_waves + large_windows + gcd_drops + dp_classes
     argvs += failing + [argv + ["--format", "json"] for argv in failing + edges]
     return argvs + usage + boundary
 
