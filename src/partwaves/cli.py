@@ -149,48 +149,38 @@ def _parse_products(text: str) -> dict[tuple[int, ...], int]:
     return products
 
 
+def _count(inputs, metadata, cells, formula, oracle):
+    """Record, table and exit code of a count checked against its oracle;
+    `cells` are the table's leading columns, by name."""
+    agreement = formula == oracle
+    record = {
+        "inputs": inputs,
+        "result": formula,
+        "metadata": {**metadata, "formula": formula, "oracle": oracle},
+        "agreement": agreement,
+    }
+    header = [*cells, "count", "oracle", "agreement"]
+    rows = [[*cells.values(), formula, oracle, agreement]]
+    return record, header, rows, 0 if agreement else 1
+
+
 def _cmd_count(args):
     a = PartsList(_parse_int_list(args.parts, "--parts"))
     n = args.n
     if n < 0:
         raise ValueError("--n must be non-negative")
-    formula = denumerant_formula(a, n)
-    oracle = denumerant_dp(a, n)
-    agreement = formula == oracle
-    record = {
-        "command": "count",
-        "inputs": {"parts": list(a.parts), "n": n},
-        "result": formula,
-        "metadata": {"D": a.D, "formula": formula, "oracle": oracle},
-        "agreement": agreement,
-    }
-    header = ["parts", "n", "count", "oracle", "agreement"]
-    rows = [[list(a.parts), n, formula, oracle, agreement]]
-    return record, header, rows, 0 if agreement else 1
+    inputs = {"parts": list(a.parts), "n": n}
+    return _count(inputs, {"D": a.D}, inputs,
+                  denumerant_formula(a, n), denumerant_dp(a, n))
 
 
 def _cmd_dary_count(args):
     d, n = args.d, args.n
     k = _window_k(d, n)
     window = _powers_list(d, k)
-    formula = count_dary(d, n)
-    oracle = denumerant_dp(window, n)
-    agreement = formula == oracle
-    record = {
-        "command": "dary-count",
-        "inputs": {"d": d, "n": n},
-        "result": formula,
-        "metadata": {
-            "k": k,
-            "parts": list(window.parts),
-            "formula": formula,
-            "oracle": oracle,
-        },
-        "agreement": agreement,
-    }
-    header = ["d", "n", "k", "count", "oracle", "agreement"]
-    rows = [[d, n, k, formula, oracle, agreement]]
-    return record, header, rows, 0 if agreement else 1
+    return _count({"d": d, "n": n}, {"k": k, "parts": list(window.parts)},
+                  {"d": d, "n": n, "k": k},
+                  count_dary(d, n), denumerant_dp(window, n))
 
 
 def _cmd_poly_part(args):
@@ -220,7 +210,6 @@ def _cmd_poly_part(args):
             raise ValueError("--at must be non-negative")
         metadata["value_at"] = {"n": args.at, "value": average.evaluate(args.at)}
     record = {
-        "command": "poly-part",
         "inputs": inputs,
         "result": {"coefficients": list(average.coeffs)},
         "metadata": metadata,
@@ -268,7 +257,6 @@ def _cmd_waves(args):
     table = [{"j": t.j, "value": t.value} if t.value is not None
              else {"j": t.j, "value": None, "error": t.error} for t in row.terms]
     record = {
-        "command": "waves",
         "inputs": inputs,
         "result": table,
         "metadata": {"divisors": [t.j for t in row.terms], **extra,
@@ -286,7 +274,6 @@ def _cmd_presym(args):
     mu = elementary_symmetric_partition(lam, j)
     prods = positional_products(lam, j)
     record = {
-        "command": "presym",
         "inputs": {"partition": list(lam.parts), "j": j},
         "result": {"value": value, "parts": list(mu.parts)},
         "metadata": {
@@ -309,7 +296,6 @@ def _cmd_reconstruct(args):
     products = SubsetProductMap(ell, j, raw)
     mu = reconstruct_exponents(products, d)
     record = {
-        "command": "reconstruct",
         "inputs": {
             "d": d,
             "j": j,
@@ -340,7 +326,6 @@ def _cmd_verify(args):
         report = verify_uniqueness(args.d, args.ell, args.max_exp, args.j)
         ok = not report.violations
         record = {
-            "command": "verify",
             "inputs": {
                 "mode": mode,
                 "d": args.d,
@@ -372,7 +357,6 @@ def _cmd_verify(args):
         failures = [row for row in checked if not row.ok]
         ok = not failures
         record = {
-            "command": "verify",
             "inputs": {"mode": mode, "n_max": args.n_max},
             "result": {"ok": ok, "checked": len(checked)},
             "metadata": {
@@ -394,7 +378,6 @@ def _cmd_verify(args):
         failures = [row for row in checked if not row.ok]
         ok = not failures
         record = {
-            "command": "verify",
             "inputs": {"mode": mode, "parts": list(a.parts), "n_max": args.n_max},
             "result": {"ok": ok, "checked": len(checked)},
             "metadata": {
@@ -568,7 +551,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    _emit(record, header, rows, args.format)
+    _emit({"command": args.command, **record}, header, rows, args.format)
     return code
 
 

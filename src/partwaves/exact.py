@@ -84,6 +84,8 @@ def stirling_unsigned(r: int, k: int) -> int:
 class RationalPolynomial:
     """A polynomial in one variable with exact rational coefficients.
 
+    An immutable value: the polynomial-part routes build its coefficients in
+    final form, and it has no arithmetic, only `evaluate`, `degree` and `==`.
     `coeffs[i]` is the coefficient of the i-th power.  Trailing zeros are
     stripped, so the zero polynomial has an empty coefficient tuple and the
     leading coefficient of anything else is nonzero.
@@ -107,42 +109,6 @@ class RationalPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * n + c
         return acc
-
-    def __add__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            other = RationalPolynomial((other,))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPolynomial(tuple(c * other for c in self.coeffs))
-        if isinstance(other, RationalPolynomial):
-            if not self.coeffs or not other.coeffs:
-                return RationalPolynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for t, b in enumerate(other.coeffs):
-                    out[i + t] += a * b
-            return RationalPolynomial(out)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            inv = Fraction(1) / Fraction(scalar)
-            return self * inv
-        return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, RationalPolynomial):

@@ -149,14 +149,17 @@ def _residue_moments(specs, j: int, t_max: int):
 
 def _poly_from_box_moments(r: int, D: int, moments) -> RationalPolynomial:
     """Expand sum over the box of prod((n-s)/D + ell, ell=1..r-1) / (D*(r-1)!)
-    symbolically in n, given the power sums of s over the box."""
-    coeffs = [Fraction(0)] * r
+    symbolically in n, given the integer power sums of s over the box.
+
+    Each coefficient is summed as an integer over the one denominator
+    D**r * (r-1)!."""
+    nums = [0] * r
     for kk in range(r):
-        st = stirling_unsigned(r, kk + 1)
+        st = stirling_unsigned(r, kk + 1) * D ** (r - 1 - kk)
         for m in range(kk + 1):
-            num = st * math.comb(kk, m) * ((-1) ** (kk - m)) * moments[kk - m]
-            coeffs[m] += Fraction(num, D**kk)
-    return RationalPolynomial(coeffs) / (D * math.factorial(r - 1))
+            nums[m] += st * math.comb(kk, m) * (-1) ** (kk - m) * moments[kk - m]
+    den = D**r * math.factorial(r - 1)
+    return RationalPolynomial([Fraction(c, den) for c in nums])
 
 
 def polynomial_part_average(a: PartsList) -> RationalPolynomial:
@@ -182,11 +185,11 @@ def polynomial_part_bernoulli(a: PartsList) -> RationalPolynomial:
         series = [
             sum(series[i] * factor[u - i] for i in range(u + 1)) for u in range(r)
         ]
-    coeffs = [
-        Fraction((-1) ** (r - 1 - m), math.factorial(m)) * series[r - 1 - m]
+    scale = math.prod(parts)
+    return RationalPolynomial([
+        Fraction((-1) ** (r - 1 - m), math.factorial(m) * scale) * series[r - 1 - m]
         for m in range(r)
-    ]
-    return RationalPolynomial(coeffs) / math.prod(parts)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,15 @@ import math
 import pkgutil
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partwaves
-from partwaves.exact import (
-    CyclotomicNumber,
-    NotRational,
-    RationalPolynomial,
-    root_of_unity,
-    to_rational,
-)
+from partwaves.exact import CyclotomicNumber, NotRational, root_of_unity, to_rational
 from partwaves.partitions import PartsList, denumerant_dp
 from partwaves.quasipoly import denumerant_formula
 from partwaves.waves import (
@@ -35,45 +30,124 @@ from partwaves.waves import (
 FAMILIES = [(1,), (3,), (1, 3), (2, 3), (1, 2), (1, 2, 4), (1, 3, 9)]
 
 
-def box_tuples(a):
-    return product(*(range(a.D // p) for p in a.parts))
+def box_sums(a):
+    return (sum(p * t for p, t in zip(a.parts, tup))
+            for tup in product(*(range(a.D // p) for p in a.parts)))
 
 
-def brute_poly_part(a):
-    """Polynomial part by literally expanding the box sum in n."""
+def brute_poly_part_at(a, n):
+    """Polynomial part at n by literally summing the box."""
     D, r = a.D, len(a.parts)
-    total = RationalPolynomial([])
-    for tup in box_tuples(a):
-        s = sum(p * t for p, t in zip(a.parts, tup))
-        term = RationalPolynomial([1])
-        for m in range(1, r):
-            term = term * RationalPolynomial([m - Fraction(s, D), Fraction(1, D)])
-        total = total + term
+    total = sum((math.prod(Fraction(n - s, D) + m for m in range(1, r))
+                 for s in box_sums(a)), Fraction(0))
     return total / (D * math.factorial(r - 1))
 
 
-def brute_weight(j, ell, n, variant):
-    if variant == LITERAL:
-        return root_of_unity(j, ell)
-    total = CyclotomicNumber.zero(j)
-    for nu in range(j):
-        if math.gcd(nu, j) == 1:
-            total = total + root_of_unity(j, nu * (ell - n))
-    return total
-
-
-def brute_wave(j, a, n, variant=TWISTED):
-    """Wave by literal tuple iteration, classifying tuples by sum mod j."""
+def brute_literal_wave(j, a, n):
+    """Literal-variant wave by tuple iteration: class ell weighted rho_j**ell."""
     D, r = a.D, len(a.parts)
     acc = CyclotomicNumber.zero(j)
-    for tup in box_tuples(a):
-        s = sum(p * t for p, t in zip(a.parts, tup))
+    for s in box_sums(a):
         ell = ((s - 1) % j) + 1
-        term = Fraction(1)
-        for m in range(1, r):
-            term *= Fraction(n - s, D) + m
-        acc = acc + brute_weight(j, ell, n, variant) * term
+        term = math.prod(Fraction(n - s, D) + m for m in range(1, r))
+        acc = acc + root_of_unity(j, ell) * term
     return to_rational(acc) / (D * math.factorial(r - 1))
+
+
+# Polynomials over Q as coefficient lists, constant term first.
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for k, y in enumerate(q):
+            out[i + k] += x * y
+    return out
+
+
+def poly_sub(p, q):
+    return [x - y for x, y in zip_longest(p, q, fillvalue=0)]
+
+
+def poly_divmod(p, q):
+    """Quotient and remainder of p by q, the remainder without trailing zeros."""
+    rem = [Fraction(c) for c in p]
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    for i in reversed(range(len(quot))):
+        quot[i] = c = rem[i + len(q) - 1] / q[-1]
+        for k, y in enumerate(q):
+            rem[i + k] -= c * y
+    rem = rem[:len(q) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+@lru_cache(maxsize=None)
+def phi(j):
+    """The j-th cyclotomic polynomial: x**j - 1 over every Phi_d, d | j, d < j."""
+    p = [-1] + [0] * (j - 1) + [1]
+    for d in range(1, j):
+        if j % d == 0:
+            p, rem = poly_divmod(p, list(phi(d)))
+            assert not rem
+    return tuple(p)
+
+
+def inverse_mod(g, f):
+    """u with u * g = 1 mod f, by one extended Euclid over Q (u_i * g = r_i)."""
+    r0, r1, u0, u1 = f, poly_divmod(g, f)[1], [], [1]
+    while r1:
+        q, rem = poly_divmod(r0, r1)
+        r0, r1, u0, u1 = r1, rem, u1, poly_sub(u0, poly_mul(q, u1))
+    assert len(r0) == 1, "the factors are not coprime"
+    return poly_divmod([c / r0[0] for c in u0], f)[1]
+
+
+def partial_fraction_waves(parts, n_max):
+    """{j: [W_j(0), ..., W_j(n_max)]} with no roots of unity (Sylvester 1857).
+
+    prod(1 - x**a) = (-1)**r * prod_j Phi_j**m_j, m_j = #{a : j | a}, so
+    1/prod(1 - x**a) = sum_j N_j / Phi_j**m_j with N_j the inverse of the
+    other factors modulo Phi_j**m_j, and W_j(n) = [x**n] N_j / Phi_j**m_j.
+    Phi_j(0) = +-1, so the series is a division by the constant term."""
+    powers = {}
+    for j in range(1, max(parts) + 1):
+        m = sum(1 for a in parts if a % j == 0)
+        if m:
+            powers[j] = [1]
+            for _ in range(m):
+                powers[j] = poly_mul(powers[j], phi(j))
+    waves = {}
+    for j, f in powers.items():
+        others = [(-1) ** len(parts)]
+        for i, h in powers.items():
+            if i != j:
+                others = poly_divmod(poly_mul(others, h), f)[1]
+        num = inverse_mod(others, f)
+        series = []
+        for n in range(n_max + 1):
+            acc = num[n] if n < len(num) else 0
+            acc -= sum(f[k] * series[n - k] for k in range(1, min(n, len(f) - 1) + 1))
+            series.append(acc / f[0])
+        waves[j] = series
+    return waves
+
+
+def mobius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def totient(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 def test_divisor_set():
@@ -125,9 +199,14 @@ def test_polynomial_part_routes_share_no_code(monkeypatch):
 
 
 def test_polynomial_part_matches_brute_expansion():
+    # both sides are polynomials of degree <= r - 1, so r points decide
     for parts in FAMILIES + [(2, 3, 5)]:
         a = PartsList(parts)
-        assert polynomial_part_average(a) == brute_poly_part(a)
+        r = len(parts)
+        poly = polynomial_part_average(a)
+        assert poly.degree <= r - 1
+        for n in range(r):
+            assert poly.evaluate(n) == brute_poly_part_at(a, n)
 
 
 def test_polynomial_part_leading_coefficient():
@@ -139,11 +218,13 @@ def test_polynomial_part_leading_coefficient():
 
 
 def test_integer_weight_matches_cyclotomic_sum():
+    # Hoelder: c_j(ell) = mu(j/g) * phi(j) / phi(j/g), g = gcd(j, ell);
     # includes j with square factors (mu(j) == 0) such as 16, 18 and 36
     for j in range(1, 40):
         for ell in range(j):
-            want = to_rational(brute_weight(j, ell, 0, TWISTED))
-            assert _ramanujan_sum(j, math.gcd(j, ell)) == want
+            g = math.gcd(j, ell)
+            want = mobius(j // g) * totient(j) // totient(j // g)
+            assert _ramanujan_sum(j, g) == want
 
 
 def test_wave_golden_values():
@@ -166,12 +247,25 @@ def test_wave_one_is_polynomial_part():
             assert wave(1, a, n, variant=LITERAL) == poly.evaluate(n)
 
 
-def test_wave_matches_brute_tuple_sum():
-    for parts in [(1, 3), (2, 3), (1, 2, 4), (1, 3, 9)]:
+def test_wave_matches_partial_fractions():
+    for parts in [(1, 3), (2, 3), (1, 2, 4), (1, 3, 9), (3, 4, 6, 8, 12)]:
         a = PartsList(parts)
+        want = partial_fraction_waves(parts, 40)
+        assert sorted(want) == list(divisor_set(a))
         for j in divisor_set(a):
-            for n in range(0, 13):
-                assert wave(j, a, n) == brute_wave(j, a, n)
+            for n in range(41):
+                assert wave(j, a, n) == want[j][n]
+
+
+@settings(deadline=None, max_examples=25)
+@given(parts=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True),
+       start=st.integers(0, 150))
+def test_every_wave_matches_partial_fractions(parts, start):
+    a = PartsList(parts)
+    want = partial_fraction_waves(parts, start + 6)
+    for j in divisor_set(a):
+        for n in range(start, start + 7):
+            assert wave(j, a, n) == want[j][n]
 
 
 def test_literal_variant_matches_brute_including_failures():
@@ -184,7 +278,7 @@ def test_literal_variant_matches_brute_including_failures():
                 except NotRational:
                     got = "not rational"
                 try:
-                    want = brute_wave(j, a, n, variant=LITERAL)
+                    want = brute_literal_wave(j, a, n)
                 except NotRational:
                     want = "not rational"
                 assert got == want
@@ -317,13 +411,8 @@ def test_twisted_wave_reads_at_most_rad_j_rows(monkeypatch):
         assert len(read) == rows
 
 
-def box_size(parts):
-    return math.prod(math.lcm(*parts) // p for p in parts)
-
-
 @settings(deadline=None, max_examples=30)
-@given(parts=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True)
-       .filter(lambda parts: box_size(parts) <= 200),
+@given(parts=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True),
        data=st.data())
 def test_built_wave_keeps_each_class_apart(parts, data):
     import partwaves.waves as waves
@@ -331,15 +420,15 @@ def test_built_wave_keeps_each_class_apart(parts, data):
     a = PartsList(parts)
     r = len(parts)
     specs = [(p, a.D // p) for p in parts]
+    want = partial_fraction_waves(parts, 3 * max(parts))
     for j in divisor_set(a):
         built = waves._build_wave(r, a.D, j, specs, TWISTED)
         ns = data.draw(st.lists(st.integers(0, 3 * j), min_size=1, max_size=4))
         ns.append(data.draw(st.integers(0, j - 1)))
-        brute = {n: brute_wave(j, a, n) for n in ns}
         # repeats and a shuffled order: a class expanded at one n must serve
         # every later n of that class and no other
         for n in data.draw(st.permutations(ns + ns)):
-            assert built(n) == wave(j, a, n) == brute[n]
+            assert built(n) == wave(j, a, n) == want[j][n]
 
 
 def test_every_cache_is_bounded():

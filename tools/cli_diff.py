@@ -13,7 +13,8 @@ variant too) and on the large `--d` windows D = 2**14, 2**15, 2**16, 3**9
 and 5**7, parts lists whose running gcd drops in several steps as they are
 folded, the DP oracle's residue classes (a gcd of the parts that does
 not divide n, one part, six parts, the windows at k = 15 and k = 0), the
-literal `--d` window at k = 4, usage errors, data errors of
+literal `--d` window at k = 4, polynomial parts and wave tables of up to
+eight parts in all three formats, usage errors, data errors of
 every subcommand, the base errors of `poly-part --d` and `verify --mode
 uniqueness`, uniqueness sweeps with and without multiset-only pairs (7
 pairs, 5 of them shown, and 2 pairs), the one-row waves sweep, the smallest
@@ -123,6 +124,15 @@ def argv_list() -> list[list[str]]:
         ["dary-count", "--d", "7", "--n", "0"],
         ["waves", "--parts", "4,6,9", "--n", "1000"],
     ]
+    # The polynomial parts and waves at the scale the fold reaches: r = 8
+    # parts with D = 27720, the r = 8 window of d = 2 at n near 10**6, and
+    # wave tables of six parts and of five pairwise coprime parts.
+    folded_scale = [
+        ["poly-part", "--parts", "1,2,3,5,7,8,9,11", "--at", "1000"],
+        ["poly-part", "--d", "2", "--k", "7", "--at", "999999"],
+        ["waves", "--parts", "1,2,3,4,5,6", "--n", "200"],
+        ["waves", "--parts", "2,3,5,7,11", "--n", "1000"],
+    ]
     failing = [
         # not a power of d
         _reconstruct("1,2:27;1,3:9;2,3:3", d=2),
@@ -211,7 +221,8 @@ def argv_list() -> list[list[str]]:
         ["dary-count", "--d", "2", "--n", "0"],
         ["waves", "--d", "2", "--n", "0"],
     ]
-    argvs = [argv + ["--format", fmt] for argv in formatted for fmt in FORMATS]
+    argvs = [argv + ["--format", fmt] for argv in formatted + folded_scale
+             for fmt in FORMATS]
     argvs += [
         argv + ["--variant", variant, "--format", fmt]
         for argv in wave_commands
