@@ -2,7 +2,8 @@
 base-d partition tools.
 
 Everything is computed in exact arithmetic: integers, `fractions.Fraction`,
-and an exact cyclotomic-number type for roots of unity.  The closed counting
+and, for the audit-only literal wave variant, an exact cyclotomic-number
+type for roots of unity.  The closed counting
 formula, its polynomial part (by two independent routes), the wave
 decomposition over divisors, the base-d specialisations, and the
 reconstruction of a base-d partition from positional products are all

@@ -370,7 +370,7 @@ def _cmd_verify(args):
         header = ["n", "j", "det", "expected", "ok"]
         rows = [[row.n, row.j, row.det, row.expected, row.ok]
                 for row in checked]
-    elif mode == "waves":
+    else:  # "waves", the last of argparse's choices
         if args.parts is None or args.n_max is None:
             raise ValueError("--mode waves requires --parts and --n-max")
         a = PartsList(_parse_int_list(args.parts, "--parts"))
@@ -392,8 +392,6 @@ def _cmd_verify(args):
         }
         header = ["n", "j", "value", "total", "expected", "ok"]
         rows = _term_rows(checked)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown mode {mode!r}")
     return record, header, rows, 0 if ok else 1
 
 

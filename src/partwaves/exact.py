@@ -1,9 +1,11 @@
 """Exact rational, cyclotomic and special-number arithmetic.
 
 Everything in this package is exact: rationals are `fractions.Fraction`,
-roots of unity carry rational coefficients modulo x**j - 1, and the special
-number sequences (Bernoulli, unsigned Stirling) come from integer
-recurrences.  Nothing here touches floating point.
+and the special number sequences (Bernoulli, unsigned Stirling) come from
+integer recurrences.  `CyclotomicNumber` serves only the audit-only literal
+wave variant, whose class values form one number of order j: it carries
+rational coefficients modulo x**j - 1, and `==` compares numbers of one
+order.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "CyclotomicNumber",
     "bernoulli",
     "stirling_unsigned",
-    "cyclotomic_polynomial",
     "root_of_unity",
     "to_rational",
 ]
@@ -134,7 +135,7 @@ def _poly_mul_int(a, b):
 
 
 @lru_cache(maxsize=256)
-def cyclotomic_polynomial(j: int) -> tuple[int, ...]:
+def _cyclotomic_polynomial(j: int) -> tuple[int, ...]:
     """Integer coefficients of the j-th cyclotomic polynomial, constant first."""
     if j < 1:
         raise ValueError("order must be positive")
@@ -144,7 +145,7 @@ def cyclotomic_polynomial(j: int) -> tuple[int, ...]:
     den = [1]
     for d in range(1, j):
         if j % d == 0:
-            den = _poly_mul_int(den, list(cyclotomic_polynomial(d)))
+            den = _poly_mul_int(den, list(_cyclotomic_polynomial(d)))
     # Exact division: den is monic, and the quotient has integer coefficients.
     quot = [0] * (len(num) - len(den) + 1)
     rem = list(num)
@@ -162,10 +163,13 @@ def cyclotomic_polynomial(j: int) -> tuple[int, ...]:
 class CyclotomicNumber:
     """An exact element of Q(rho_j), rho_j the primitive j-th root of unity.
 
-    The value is stored as a length-j vector of rational coefficients of
-    1, rho_j, ..., rho_j**(j-1), i.e. a representative modulo x**j - 1.
-    Products are cyclic convolutions; canonicalization (reduction modulo the
-    j-th cyclotomic polynomial) happens only on comparison and extraction.
+    It serves the literal wave variant, which reduces one such number per
+    evaluation and extracts its rational value.  The value is stored as a
+    length-j vector of rational coefficients of 1, rho_j, ..., rho_j**(j-1),
+    i.e. a representative modulo x**j - 1.  Products are cyclic
+    convolutions; canonicalization (reduction modulo the j-th cyclotomic
+    polynomial) happens only on comparison and extraction, and `==`
+    compares two numbers of the same order only.
     """
 
     __slots__ = ("order", "coeffs")
@@ -182,23 +186,9 @@ class CyclotomicNumber:
         self.order = order
         self.coeffs = cs
 
-    @classmethod
-    def zero(cls, order: int) -> "CyclotomicNumber":
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int) -> "CyclotomicNumber":
-        return cls.from_rational(1, order)
-
-    @classmethod
-    def from_rational(cls, value, order: int) -> "CyclotomicNumber":
-        cs = [Fraction(0)] * order
-        cs[0] = Fraction(value)
-        return cls(order, cs)
-
     def canonical(self) -> tuple[Fraction, ...]:
         """Coefficients reduced modulo the cyclotomic polynomial, zero-padded."""
-        phi = cyclotomic_polynomial(self.order)
+        phi = _cyclotomic_polynomial(self.order)
         deg = len(phi) - 1
         terms = [(t, p) for t, p in enumerate(phi[:deg]) if p]
         rem = list(self.coeffs)
@@ -210,10 +200,6 @@ class CyclotomicNumber:
                 for t, p in terms:
                     rem[base + t] -= c * p
         return tuple(rem)
-
-    def is_rational(self) -> bool:
-        can = self.canonical()
-        return all(not c for c in can[1:])
 
     def to_rational(self) -> Fraction:
         can = self.canonical()
@@ -229,7 +215,7 @@ class CyclotomicNumber:
                 raise ValueError("cyclotomic orders differ")
             return other
         if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber.from_rational(other, self.order)
+            return CyclotomicNumber(self.order, (other,) + (0,) * (self.order - 1))
         return None
 
     def __add__(self, other):
@@ -276,7 +262,7 @@ class CyclotomicNumber:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = CyclotomicNumber.one(self.order)
+        result = CyclotomicNumber(self.order, (1,) + (0,) * (self.order - 1))
         base = self
         e = exponent
         while e:
@@ -287,25 +273,9 @@ class CyclotomicNumber:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, CyclotomicNumber):
-            if other.order == self.order:
-                return self.canonical() == other.canonical()
-            try:
-                return self.to_rational() == other.to_rational()
-            except NotRational:
-                return False
-        if isinstance(other, (int, Fraction)):
-            try:
-                return self.to_rational() == Fraction(other)
-            except NotRational:
-                return False
+        if isinstance(other, CyclotomicNumber) and other.order == self.order:
+            return self.canonical() == other.canonical()
         return NotImplemented
-
-    def __hash__(self):
-        try:
-            return hash(self.to_rational())
-        except NotRational:
-            return hash((self.order, self.canonical()))
 
     def __repr__(self):
         return f"CyclotomicNumber(order={self.order}, coeffs={self.coeffs!r})"

@@ -16,7 +16,6 @@ The module keeps its name because the benchmark's per-layer metrics
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import sub
 
@@ -63,7 +62,7 @@ def _fold(specs, g: int) -> tuple[list[int], int]:
     return counts, g
 
 
-def denumerant_formula(a: PartsList, n: int) -> Fraction:
+def denumerant_formula(a: PartsList, n: int) -> int:
     """Exact closed-formula count of partitions of n with parts in `a`.
 
     Sums the rising product over residue tuples whose weighted sum s is
@@ -71,8 +70,9 @@ def denumerant_formula(a: PartsList, n: int) -> Fraction:
     sum s comes from a partial box: `_fold` folds the parts but the smallest
     into a distribution kept only on multiples of g, the gcd of those parts,
     and the smallest part's coordinate is a strided window sum of it.  The
-    full box is never built.  The result is a Fraction that is always a
-    non-negative integer equal to `denumerant_dp(a, n)`.
+    full box is never built.  The result is the integer count, equal to
+    `denumerant_dp(a, n)`; ArithmeticError if the division by (r-1)! leaves
+    a remainder.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -104,5 +104,8 @@ def denumerant_formula(a: PartsList, n: int) -> Fraction:
         for ell in range(1, r):
             term *= q + ell
         total += c * term
-    return Fraction(total, math.factorial(r - 1))
+    count, remainder = divmod(total, math.factorial(r - 1))
+    if remainder:
+        raise ArithmeticError(f"closed formula produced a non-count: {total}/{r - 1}!")
+    return count
 

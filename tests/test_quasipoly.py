@@ -34,6 +34,7 @@ def brute_formula(a, n):
 
 def test_formula_golden_values():
     assert denumerant_formula(PartsList((1, 3)), 8) == 3
+    assert type(denumerant_formula(PartsList((1, 3)), 8)) is int
     assert denumerant_formula(PartsList((1, 3, 9)), 20) == 12
     assert denumerant_formula(PartsList((1,)), 17) == 1
     assert denumerant_formula(PartsList((2, 4)), 5) == 0

@@ -46,7 +46,7 @@ def brute_poly_part_at(a, n):
 def brute_literal_wave(j, a, n):
     """Literal-variant wave by tuple iteration: class ell weighted rho_j**ell."""
     D, r = a.D, len(a.parts)
-    acc = CyclotomicNumber.zero(j)
+    acc = CyclotomicNumber(j)
     for s in box_sums(a):
         ell = ((s - 1) % j) + 1
         term = math.prod(Fraction(n - s, D) + m for m in range(1, r))

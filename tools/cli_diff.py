@@ -4,7 +4,9 @@ Usage:
     python tools/cli_diff.py PARENT_SRC CHANGE_SRC
 
 Each SRC is a directory holding the `partwaves` package (a checkout's
-`src/`).  A fixed list of argv vectors is run through `partwaves.cli.main`
+`src/`).  To compare the working tree with its last commit, check the
+commit out with `git worktree add <dir> HEAD` and pass `<dir>/src` and
+`src`.  A fixed list of argv vectors is run through `partwaves.cli.main`
 once per tree, each tree in its own subprocess, and every argv whose stdout,
 stderr or exit code differ between the trees is listed.  The list covers
 every subcommand in all three formats, both wave variants, the `--parts`
@@ -14,14 +16,15 @@ and 5**7, parts lists whose running gcd drops in several steps as they are
 folded, the DP oracle's residue classes (a gcd of the parts that does
 not divide n, one part, six parts, the windows at k = 15 and k = 0), the
 literal `--d` window at k = 4, polynomial parts and wave tables of up to
-eight parts in all three formats, usage errors, data errors of
-every subcommand, the base errors of `poly-part --d` and `verify --mode
-uniqueness`, uniqueness sweeps with and without multiset-only pairs (7
-pairs, 5 of them shown, and 2 pairs), the one-row waves sweep, the smallest
-circulant sweep, the k = 0 window at n = 1 and at n = 0, each
-subcommand's `--help`, valid, corrupted, not-a-power and malformed
-`reconstruct` inputs, and argv that does or does not begin with a command
-name.
+eight parts in all three formats, literal tables and a literal sweep at
+cyclotomic orders up to 125 (Phi_105 among them) in all three formats,
+usage errors, data errors of every subcommand, the base errors of
+`poly-part --d` and `verify --mode uniqueness`, uniqueness sweeps with and
+without multiset-only pairs (7 pairs, 5 of them shown, and 2 pairs), the
+one-row waves sweep, the smallest circulant sweep, the k = 0 window at
+n = 1 and at n = 0, each subcommand's `--help`, valid, corrupted,
+not-a-power and malformed `reconstruct` inputs, and argv that does or does
+not begin with a command name.
 
 Exit code 0 when every argv agrees, 1 when any differs, 2 on bad usage.
 """
@@ -133,6 +136,16 @@ def argv_list() -> list[list[str]]:
         ["waves", "--parts", "1,2,3,4,5,6", "--n", "200"],
         ["waves", "--parts", "2,3,5,7,11", "--n", "1000"],
     ]
+    # The literal extraction at larger orders: 15, 21, 35 and 105, where
+    # Phi_105 is the first cyclotomic polynomial with a coefficient outside
+    # {-1, 0, 1}; 125 on the d = 5 window; and a sweep where at n = 30 the
+    # j = 3 term happens to be rational while j = 5 and j = 7 fail.
+    literal_orders = [
+        ["waves", "--parts", "3,5,7,105", "--n", "300", "--variant", "literal"],
+        ["waves", "--d", "5", "--n", "130", "--variant", "literal"],
+        ["verify", "--mode", "waves", "--parts", "3,5,7", "--n-max", "30",
+         "--variant", "literal"],
+    ]
     failing = [
         # not a power of d
         _reconstruct("1,2:27;1,3:9;2,3:3", d=2),
@@ -221,7 +234,8 @@ def argv_list() -> list[list[str]]:
         ["dary-count", "--d", "2", "--n", "0"],
         ["waves", "--d", "2", "--n", "0"],
     ]
-    argvs = [argv + ["--format", fmt] for argv in formatted + folded_scale
+    argvs = [argv + ["--format", fmt]
+             for argv in formatted + folded_scale + literal_orders
              for fmt in FORMATS]
     argvs += [
         argv + ["--variant", variant, "--format", fmt]
