@@ -133,7 +133,7 @@ def _parse_products(text: str) -> dict[tuple[int, ...], int]:
         try:
             if not sep:
                 raise ValueError
-            indices = tuple(int(x) for x in head.split(","))
+            indices = tuple(map(int, head.split(",")))
             value = int(tail)
         except ValueError:
             raise ValueError(
@@ -147,6 +147,12 @@ def _parse_products(text: str) -> dict[tuple[int, ...], int]:
     if not products:
         raise ValueError("--products must contain at least one entry")
     return products
+
+
+def _keyed(products, j: int) -> dict[str, int]:
+    """Products keyed by their index j-tuple written as '1,2,3'."""
+    key = ",".join(["%d"] * j)
+    return {key % indices: value for indices, value in products.items()}
 
 
 def _count(inputs, metadata, cells, formula, oracle):
@@ -272,34 +278,32 @@ def _cmd_presym(args):
     j = args.j
     value = elementary_symmetric_value(lam, j)
     mu = elementary_symmetric_partition(lam, j)
-    prods = positional_products(lam, j)
+    prods = _keyed(positional_products(lam, j), j)
     record = {
         "inputs": {"partition": list(lam.parts), "j": j},
         "result": {"value": value, "parts": list(mu.parts)},
         "metadata": {
             "length": lam.length,
             "order": j,
-            "products": {
-                ",".join(map(str, key)): val for key, val in prods.items()
-            },
+            "products": prods,
         },
     }
     header = ["indices", "product"]
-    rows = [[",".join(map(str, key)), val] for key, val in prods.items()]
+    rows = [[key, val] for key, val in prods.items()]
     return record, header, rows, 0
 
 
 def _cmd_reconstruct(args):
     d, j = args.d, args.j
     raw = _parse_products(args.products)
-    ell = max(max(tup) for tup in raw)
+    ell = max(map(max, raw))
     products = SubsetProductMap(ell, j, raw)
     mu = reconstruct_exponents(products, d)
     record = {
         "inputs": {
             "d": d,
             "j": j,
-            "products": {",".join(map(str, key)): val for key, val in raw.items()},
+            "products": _keyed(raw, j),
         },
         "result": {"parts": list(mu.parts)},
         "metadata": {

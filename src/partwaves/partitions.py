@@ -115,10 +115,20 @@ class SubsetProductMap:
             raise ValueError(f"order must lie in 1..{length}, got {order}")
         cleaned = {tuple(map(operator.index, key)): operator.index(value)
                    for key, value in products.items()}
-        if any(value < 1 for value in cleaned.values()):
+        if min(cleaned.values(), default=1) < 1:
             raise ValueError("products must be positive")
-        # A key is valid when 0 < key[0] < ... < key[-1] < length + 1; keys are
-        # checked one by one, so a bad map never builds C(length, order) tuples.
+        count = math.comb(length, order)
+        # With the sizes equal, the keys are exactly the valid tuples when
+        # filling them into the combinations, in that order, adds no key.
+        if len(cleaned) == count:
+            ordered = dict.fromkeys(combinations(range(1, length + 1), order))
+            ordered.update(cleaned)
+            if len(ordered) == count:
+                self.length, self.order, self.products = length, order, ordered
+                return
+        # Otherwise name the first bad key, 0 < key[0] < ... < key[-1] <
+        # length + 1, checked one by one, so a map of the wrong size never
+        # builds C(length, order) tuples.
         for key in cleaned:
             bounded = (0, *key, length + 1)
             if len(key) != order or any(a >= b for a, b in zip(bounded, bounded[1:])):
@@ -126,14 +136,7 @@ class SubsetProductMap:
                     f"index tuple {key} is not an increasing {order}-tuple "
                     f"of 1..{length}"
                 )
-        count = math.comb(length, order)
-        if len(cleaned) != count:
-            raise ValueError(f"expected {count} index tuples, got {len(cleaned)}")
-        self.length = length
-        self.order = order
-        self.products = {
-            key: cleaned[key] for key in combinations(range(1, length + 1), order)
-        }
+        raise ValueError(f"expected {count} index tuples, got {len(cleaned)}")
 
     def items(self):
         return self.products.items()

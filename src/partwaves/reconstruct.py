@@ -18,7 +18,8 @@ every remaining equation.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress
+from operator import ne
 
 from .dary import DAryPartition, _check_base, exponent_of_power
 from .partitions import SubsetProductMap
@@ -70,7 +71,8 @@ def build_c_matrix(n: int, j: int) -> tuple[tuple[int, ...], ...]:
 
 def det_exact(rows: tuple[tuple[int, ...], ...]) -> int:
     """Exact determinant of an integer matrix given as a tuple of rows, by
-    fraction-free elimination with row pivoting."""
+    row-wise fraction-free (Bareiss) elimination with row pivoting: each
+    step rebuilds every row below the pivot in one pass."""
     n = len(rows)
     if not n or any(len(row) != n for row in rows):
         raise ValueError("determinant needs a non-empty square matrix")
@@ -84,11 +86,17 @@ def det_exact(rows: tuple[tuple[int, ...], ...]) -> int:
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             sign = -sign
+        top = a[col]
+        p = top[col]
+        # Each entry is a minor of the input, so every division is exact.
         for i in range(col + 1, n):
-            for t in range(col + 1, n):
-                a[i][t] = (a[i][t] * a[col][col] - a[i][col] * a[col][t]) // prev
-            a[i][col] = 0
-        prev = a[col][col]
+            row = a[i]
+            f = row[col]
+            if f:
+                a[i] = [(x * p - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                a[i] = [x * p // prev for x in row]
+        prev = p
     return sign * a[n - 1][n - 1]
 
 
@@ -126,9 +134,10 @@ def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
     # NotPowerOfD names the first bad product.
     exponent_of = {
         value: exponent_of_power(value, d)
-        for value in dict.fromkeys(value for _, value in products.items())
+        for value in dict.fromkeys(products.products.values())
     }
-    logs = {tup: exponent_of[value] for tup, value in products.items()}
+    logs = dict(zip(products.products,
+                    map(exponent_of.__getitem__, products.products.values())))
     rows = [logs[t] for t in _subsystem_tuples(ell, j)]
     # rows[0] is S - e_{j+1} and rows[t] is S - e_t for t = 1..j.
     head = sum(rows[: j + 1])
@@ -146,9 +155,11 @@ def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
     for a, b in zip(exponents, exponents[1:]):
         if a < b:
             raise InconsistentData(f"solved exponents increase: {exponents}")
-    for tup, c in logs.items():
-        if sum(exponents[i - 1] for i in tup) != c:
-            raise InconsistentData(f"product equation violated at indices {tup}")
+    # The map is in combinations order, so its j-fold sums line up with it.
+    violated = next(compress(logs, map(ne, logs.values(),
+                                        map(sum, combinations(exponents, j)))), None)
+    if violated is not None:
+        raise InconsistentData(f"product equation violated at indices {violated}")
     return DAryPartition(d, tuple(exponents))
 
 

@@ -1,6 +1,8 @@
 """Property-based checks over random inputs, next to the golden tables."""
 
 import math
+import operator
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -146,3 +148,97 @@ def test_one_corrupted_product_is_inconsistent(case, data):
     products[target] *= mu.base
     with pytest.raises(InconsistentData):
         reconstruct_exponents(SubsetProductMap(mu.length, j, products), mu.base)
+
+
+def reference_subset_product_map(length, order, products):
+    """`SubsetProductMap`'s checks as they stood before its combinations
+    pass, kept to pin their precedence: values, then each key on its own,
+    then the count."""
+    cleaned = {tuple(map(operator.index, key)): operator.index(value)
+               for key, value in products.items()}
+    if any(value < 1 for value in cleaned.values()):
+        raise ValueError("products must be positive")
+    # A key is valid when 0 < key[0] < ... < key[-1] < length + 1; keys are
+    # checked one by one, so a bad map never builds C(length, order) tuples.
+    for key in cleaned:
+        bounded = (0, *key, length + 1)
+        if len(key) != order or any(a >= b for a, b in zip(bounded, bounded[1:])):
+            raise ValueError(
+                f"index tuple {key} is not an increasing {order}-tuple "
+                f"of 1..{length}"
+            )
+    count = math.comb(length, order)
+    if len(cleaned) != count:
+        raise ValueError(f"expected {count} index tuples, got {len(cleaned)}")
+    return {key: cleaned[key] for key in combinations(range(1, length + 1), order)}
+
+
+CORRUPTIONS = ("none", "drop", "add", "replace", "zero", "float")
+STRAYS = ("descending", "repeated", "below", "above", "longer", "shorter")
+
+
+def _corrupt(draw, items, corruption, ell, j):
+    """Apply one corruption to the item list in place."""
+    if not items and corruption != "add":
+        return
+    at = draw(st.integers(0, max(len(items) - 1, 0)))
+    if corruption == "drop":
+        del items[at]
+    elif corruption in ("zero", "float"):
+        key, value = items[at]
+        items[at] = (key, 0 if corruption == "zero" else float(value))
+    elif corruption in ("add", "replace"):
+        base = list(draw(st.sampled_from(list(combinations(range(1, ell + 1), j)))))
+        stray = draw(st.sampled_from(STRAYS if j > 1 else STRAYS[2:]))
+        if stray == "descending":
+            base.reverse()
+        elif stray == "repeated":
+            base[1] = base[0]
+        elif stray == "below":
+            base[0] = draw(st.integers(-1, 0))
+        elif stray == "above":
+            base[-1] = draw(st.integers(ell + 1, ell + 2))
+        elif stray == "longer":
+            base.append(base[-1] + 1)
+        else:
+            base.pop()
+        entry = (tuple(base), draw(st.integers(1, 50)))
+        if corruption == "add":
+            items.insert(at, entry)
+        else:
+            items[at] = entry
+
+
+@st.composite
+def corrupted_maps(draw):
+    """A complete product map with ell <= 7, its items shuffled, then one
+    corruption, or two so that their checks compete: a dropped key, a stray
+    key added or put in the place of a valid one, or a value made 0 or a
+    float."""
+    ell = draw(st.integers(1, 7))
+    j = draw(st.integers(1, ell))
+    keys = list(combinations(range(1, ell + 1), j))
+    values = draw(st.lists(st.integers(1, 50), min_size=len(keys), max_size=len(keys)))
+    items = draw(st.permutations(list(zip(keys, values))))
+    for corruption in draw(st.lists(st.sampled_from(CORRUPTIONS), min_size=1,
+                                    max_size=2)):
+        _corrupt(draw, items, corruption, ell, j)
+    return ell, j, dict(items)
+
+
+def _outcome(build, ell, j, products):
+    try:
+        return dict(build(ell, j, products))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=corrupted_maps())
+def test_subset_product_map_keeps_the_reference_checks(case):
+    ell, j, products = case
+    expected = _outcome(reference_subset_product_map, ell, j, products)
+    got = _outcome(lambda *args: SubsetProductMap(*args).items(), ell, j, products)
+    assert got == expected
+    if isinstance(expected, dict):
+        assert list(got) == list(combinations(range(1, ell + 1), j))

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -92,6 +93,55 @@ def test_det_exact_matches_laplace_on_random_matrices():
             tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n)
         )
         assert det_exact(entries) == laplace_det([list(r) for r in entries])
+
+
+def fraction_det(entries):
+    """Determinant by Gaussian elimination over Fraction, with row swaps."""
+    a = [[Fraction(x) for x in row] for row in entries]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for i in range(col + 1, n):
+            f = a[i][col] / a[col][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return det
+
+
+def test_det_exact_matches_fraction_elimination():
+    # The row update special-cases a zero multiplier below the pivot (the
+    # row is only scaled, or kept when the pivot equals the last one), so
+    # the cases are sparse 0/1 matrices, triangular matrices whose every
+    # multiplier is zero, with unit or other diagonals, and their row
+    # permutations, which need swaps.
+    rng = random.Random(1968)
+    cases = []
+    for n in range(1, 11):
+        for _ in range(10):
+            cases.append([[int(rng.random() < 0.3) for _ in range(n)]
+                          for _ in range(n)])
+            diagonal = rng.choice(((1,), (1, -1), (1, 2, -3, 5)))
+            upper = [[rng.randint(-4, 4) if t > i else rng.choice(diagonal) * (t == i)
+                      for t in range(n)] for i in range(n)]
+            cases.append(upper)
+            cases.append(rng.sample(upper, n))
+            cases.append([list(row) for row in zip(*upper)])
+    for entries in cases:
+        expected = fraction_det(entries)
+        assert expected.denominator == 1
+        assert det_exact(tuple(map(tuple, entries))) == expected
+
+
+def test_circulant_det_check_largest_sweep():
+    rows = circulant_det_check(18)
+    assert len(rows) == 17 * 18 // 2
+    assert all(row.ok for row in rows)
 
 
 def test_circulant_det_check():

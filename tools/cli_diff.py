@@ -24,13 +24,18 @@ without multiset-only pairs (7 pairs, 5 of them shown, and 2 pairs), the
 one-row waves sweep, the smallest circulant sweep, the k = 0 window at
 n = 1 and at n = 0, each subcommand's `--help`, valid, corrupted,
 not-a-power and malformed `reconstruct` inputs, and argv that does or does
-not begin with a command name.
+not begin with a command name.  For the reconstruction's combinations
+pass it also runs a full j = 3 map at ell = 40 (9880 products) in all three
+formats, a valid map given in reversed order, a map of the right size with
+one bad key, index heads with whitespace and leading zeros, and the
+workload's largest circulant sweep (n_max = 18) in json.
 
 Exit code 0 when every argv agrees, 1 when any differs, 2 on bad usage.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -44,6 +49,15 @@ SUBCOMMANDS = ("count", "dary-count", "poly-part", "waves", "presym",
 
 def _reconstruct(products: str, d: int = 3, j: int = 2) -> list[str]:
     return ["reconstruct", "--products", products, "--d", str(d), "--j", str(j)]
+
+
+def _full_products(ell: int, j: int, d: int) -> str:
+    """Every positional j-fold product of a d-ary partition of length ell."""
+    exponents = [(ell - i) // 3 for i in range(1, ell + 1)]
+    return ";".join(
+        f"{','.join(map(str, tup))}:{d ** sum(exponents[i - 1] for i in tup)}"
+        for tup in itertools.combinations(range(1, ell + 1), j)
+    )
 
 
 def argv_list() -> list[list[str]]:
@@ -64,6 +78,12 @@ def argv_list() -> list[list[str]]:
         _reconstruct("1,2:8;1,3:4;1,4:2;2,3:4;2,4:2;3,4:1", d=2),
         _reconstruct("1,2,3:8;1,2,4:8;1,3,4:4;2,3,4:4", d=2, j=3),
         _reconstruct("1:25;2:5;3:1", d=5, j=1),
+        # The combinations pass: a full map of 9880 products, a valid map in
+        # reversed order (the echo keeps input order), and heads written
+        # with whitespace and leading zeros (the echo writes the integers).
+        _reconstruct(_full_products(40, 3, 2), d=2, j=3),
+        _reconstruct("2,3:3;1,3:9;1,2:27"),
+        _reconstruct(" 1, 02:27;1,3:9;2,3:3"),
         ["verify", "--mode", "circulant", "--n-max", "6"],
         ["verify", "--mode", "uniqueness", "--d", "2", "--ell", "4",
          "--max-exp", "2", "--j", "2"],
@@ -163,6 +183,8 @@ def argv_list() -> list[list[str]]:
         _reconstruct("1,2:27;1,3:9;2,3:3;1,2,3:5"),
         _reconstruct("1,2:27;1,3:9;2,3:3;0,1:5"),
         _reconstruct("1,2:27;1,3:9;2,3:3;1,2:81"),
+        # the right number of keys, one of them bad: the per-key check names it
+        _reconstruct("1,2:27;2,1:9;1,3:3"),
         _reconstruct("1,2:27;1,3:9;2,3:3; 1, 2:27"),
         _reconstruct("1,2:27;1,3:9;x"),
         _reconstruct("1,2:27;1,3:nine;2,3:3"),
@@ -230,6 +252,7 @@ def argv_list() -> list[list[str]]:
          "--max-exp", "1", "--j", "1"],
         ["verify", "--mode", "waves", "--parts", "1,3", "--n-max", "0"],
         ["verify", "--mode", "circulant", "--n-max", "2"],
+        ["verify", "--mode", "circulant", "--n-max", "18"],
         ["waves", "--d", "2", "--n", "1"],
         ["dary-count", "--d", "2", "--n", "0"],
         ["waves", "--d", "2", "--n", "0"],
