@@ -175,7 +175,8 @@ def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
         # The defective window sum of the module docstring, kept for audit.
         specs = [(d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k - 1)]
         specs += [(d ** (k - 2) + d ** (k - 1), d * d), (0, d)]
-        return _build_wave(k + 1, period, j, specs, variant)(n)
+        return Fraction(_build_wave(k + 1, period, j, specs, variant)(n),
+                        period ** (k + 1) * math.factorial(k))
     return wave(j, _powers_list(d, k), n, variant)
 
 

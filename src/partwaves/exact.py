@@ -82,6 +82,13 @@ def stirling_unsigned(r: int, k: int) -> int:
 # polynomials over the rationals
 
 
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class RationalPolynomial:
     """A polynomial in one variable with exact rational coefficients.
 
@@ -106,10 +113,7 @@ class RationalPolynomial:
         return len(self.coeffs) - 1
 
     def evaluate(self, n) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * n + c
-        return acc
+        return Fraction(_horner(self.coeffs, n))
 
     def __eq__(self, other):
         if isinstance(other, RationalPolynomial):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from itertools import combinations
 
 __all__ = [
@@ -202,6 +203,8 @@ def denumerant_dp(a: PartsList, n: int) -> int:
     if not rest:
         return 1
     G = math.gcd(*rest)
+    if n // G + 1 > sys.maxsize:
+        raise ValueError(f"the DP oracle's n // {G} + 1 entries exceed sys.maxsize")
     # first divides n - G*t exactly when t = n/g * (G/g)^-1 mod first/g.
     step = first // g
     start = n // g * pow(G // g, -1, step) % step

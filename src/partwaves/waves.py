@@ -17,11 +17,10 @@ Two weightings are exposed:
   over 0 <= nu < j coprime to j, i.e. the rho_j**(-nu*n) twist from
   Sylvester's classical wave definition applied to each class.  That sum is
   the Ramanujan sum c_j(ell - n), an integer that depends on n only through
-  n mod j, so the wave is a period-j quasi-polynomial of degree r - 1.  The
-  residue polynomial of a class is expanded the first time the wave is
-  evaluated at an n of that class: one evaluation expands one class, and a
-  sweep over n expands each class once.  This variant satisfies the
-  decomposition identity sum_j W_j(n) = p_a(n) exactly.
+  n mod j, so the wave is a period-j quasi-polynomial of degree r - 1, kept
+  as integer numerators over D**r * (r-1)!, one denominator for all waves of
+  `a`, evaluated by Horner in int and made a Fraction only where returned or
+  printed.  This variant satisfies sum_j W_j(n) = p_a(n) exactly.
 * "literal": class ell is weighted by the bare power rho_j**ell.  Kept
   callable for audit; the class values at n form one cyclotomic number of
   order j, and with no dependence on n mod j it cannot reproduce the
@@ -42,6 +41,7 @@ from .exact import (
     CyclotomicNumber,
     NotRational,
     RationalPolynomial,
+    _horner,
     bernoulli,
     stirling_unsigned,
 )
@@ -147,19 +147,20 @@ def _residue_moments(specs, j: int, t_max: int):
 # polynomial part
 
 
-def _poly_from_box_moments(r: int, D: int, moments) -> RationalPolynomial:
-    """Expand sum over the box of prod((n-s)/D + ell, ell=1..r-1) / (D*(r-1)!)
-    symbolically in n, given the integer power sums of s over the box.
+def _denominator(r: int, D: int) -> int:
+    return D**r * math.factorial(r - 1)
 
-    Each coefficient is summed as an integer over the one denominator
-    D**r * (r-1)!."""
+
+def _poly_numerators(r: int, D: int, moments) -> list[int]:
+    """Expand sum over the box of prod((n-s)/D + ell, ell=1..r-1) / (D*(r-1)!)
+    symbolically in n, given the integer power sums of s over the box, as the
+    integer numerators of its coefficients over `_denominator(r, D)`."""
     nums = [0] * r
     for kk in range(r):
         st = stirling_unsigned(r, kk + 1) * D ** (r - 1 - kk)
         for m in range(kk + 1):
             nums[m] += st * math.comb(kk, m) * (-1) ** (kk - m) * moments[kk - m]
-    den = D**r * math.factorial(r - 1)
-    return RationalPolynomial([Fraction(c, den) for c in nums])
+    return nums
 
 
 def polynomial_part_average(a: PartsList) -> RationalPolynomial:
@@ -167,7 +168,8 @@ def polynomial_part_average(a: PartsList) -> RationalPolynomial:
     the congruence-free sum over all residue tuples, expanded exactly."""
     r = len(a.parts)
     moments = _residue_moments([(p, a.D // p) for p in a.parts], 1, r - 1)(0)
-    return _poly_from_box_moments(r, a.D, moments)
+    return RationalPolynomial([Fraction(c, _denominator(r, a.D))
+                               for c in _poly_numerators(r, a.D, moments)])
 
 
 def polynomial_part_bernoulli(a: PartsList) -> RationalPolynomial:
@@ -209,35 +211,35 @@ def _ramanujan_sum(j: int, g: int) -> int:
 
 
 def _build_wave(r: int, D: int, j: int, specs, variant: str):
-    """The wave, as a function of n, from the (stride, count) box specs.
+    """The wave from the (stride, count) box specs: n to its value at n as an
+    integer numerator over `_denominator(r, D)`.
 
-    Class ell modulo j expands, via `_poly_from_box_moments`, to a polynomial
-    in n.  The twisted weight c_j(ell - n) depends on n only through n mod j,
-    so residue c of the wave is one expansion of the moments weighted by the
-    integers c_j(ell - c).  That expansion is made the first time the wave is
-    evaluated at an n with n mod j == c and kept for later n of the class:
-    one evaluation expands one class, and a sweep over n expands each class
-    once.  It reads only the classes ell with c_j(ell - c) != 0, at most
-    rad(j) of the j.  The literal weights rho_j**ell make the class values at
-    n one cyclotomic number, extracted at each n, so every class is expanded.
-    """
+    Class ell modulo j expands, via `_poly_numerators`, to a polynomial in n.
+    The twisted weight c_j(ell - n) depends on n only through n mod j, so
+    residue c of the wave is one expansion of the moments weighted by the
+    integers c_j(ell - c), made the first time the wave is evaluated at an n
+    of that residue and kept: one evaluation expands one class, and a sweep
+    over n expands each class once.  It reads only the classes ell with
+    c_j(ell - c) != 0, at most rad(j) of the j.  The literal weights
+    rho_j**ell make the class values at n, over D**(r-1), one cyclotomic
+    number, extracted at each n, so every class is expanded."""
     row = _residue_moments(specs, j, r - 1)
     if variant == TWISTED:
         weights = [(delta, w) for delta in range(j)
                    if (w := _ramanujan_sum(j, math.gcd(j, delta)))]
 
         @lru_cache(maxsize=j)
-        def residue_poly(c: int) -> RationalPolynomial:
-            return _poly_from_box_moments(r, D, [
+        def residue_poly(c: int) -> list[int]:
+            return _poly_numerators(r, D, [
                 sum(w * row((c + delta) % j)[t] for delta, w in weights)
                 for t in range(r)
             ])
 
-        return lambda n: residue_poly(n % j).evaluate(n)
-    classes = [_poly_from_box_moments(r, D, row(rho)) for rho in range(j)]
-    scale = D * math.factorial(r - 1)
-    return lambda n: CyclotomicNumber(
-        j, [poly.evaluate(n) * scale for poly in classes]).to_rational() / scale
+        return lambda n: _horner(residue_poly(n % j), n)
+    classes = [_poly_numerators(r, D, row(rho)) for rho in range(j)]
+    unit = D ** (r - 1)
+    return lambda n: int(CyclotomicNumber(
+        j, [Fraction(_horner(c, n), unit) for c in classes]).to_rational() * unit)
 
 
 def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
@@ -253,8 +255,9 @@ def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fracti
         raise ValueError("n must be non-negative")
     if all(p % j for p in a.parts):
         raise NotDivisor(f"{j} divides no entry of {a.parts}")
+    r = len(a.parts)
     specs = [(p, a.D // p) for p in a.parts]
-    return _build_wave(len(a.parts), a.D, j, specs, variant)(n)
+    return Fraction(_build_wave(r, a.D, j, specs, variant)(n), _denominator(r, a.D))
 
 
 # A term's value is None when its extraction failed; error then says why.
@@ -262,20 +265,21 @@ WaveTerm = namedtuple("WaveTerm", "j value error", defaults=("",))
 WaveCheckRow = namedtuple("WaveCheckRow", "n terms total expected residual ok")
 
 
-def _wave_row(n: int, divisors, wave_at, expected: int) -> WaveCheckRow:
-    """Sum wave_at(j, n) over the divisors and compare with `expected`; an
-    irrational extraction makes its term an error and the row a failure."""
-    terms = []
+def _wave_row(n: int, divisors, wave_at, expected: int, den: int = 1) -> WaveCheckRow:
+    """Sum wave_at(j, n), numerators over den (at den = 1 the values), and
+    compare with `expected`; an irrational extraction fails its term and row."""
+    terms, nums = [], []
     for j in divisors:
         try:
-            terms.append(WaveTerm(j, wave_at(j, n)))
+            nums.append(wave_at(j, n))
+            terms.append(WaveTerm(j, Fraction(nums[-1], den)))
         except NotRational as exc:
             terms.append(WaveTerm(j, None, str(exc)))
-    if any(term.value is None for term in terms):
+    if len(nums) < len(terms):
         return WaveCheckRow(n, tuple(terms), None, expected, None, False)
-    total = sum((term.value for term in terms), Fraction(0))
-    residual = total - expected
-    return WaveCheckRow(n, tuple(terms), total, expected, residual, residual == 0)
+    residual = Fraction(sum(nums) - expected * den, den)
+    return WaveCheckRow(n, tuple(terms), residual + expected, expected,
+                        residual, residual == 0)
 
 
 def wave_decomposition_check(
@@ -283,8 +287,8 @@ def wave_decomposition_check(
 ) -> tuple[WaveCheckRow, ...]:
     """Check sum of waves, each built once, against the DP oracle for all
     n <= n_max: one row per n, ascending, its terms in ascending j over
-    `divisor_set(a)`.  Failures (including irrational extractions) are data
-    in the rows, never exceptions."""
+    `divisor_set(a)`, summed as integer numerators.  Failures (including
+    irrational extractions) are data in the rows, never exceptions."""
     _check_variant(variant)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -292,8 +296,8 @@ def wave_decomposition_check(
     r = len(a.parts)
     specs = [(p, a.D // p) for p in a.parts]
     built = {j: _build_wave(r, a.D, j, specs, variant) for j in divisors}
-    expected = denumerant_series(a, n_max)
+    expected, den = denumerant_series(a, n_max), _denominator(r, a.D)
     return tuple(
-        _wave_row(n, divisors, lambda j, n: built[j](n), expected[n])
+        _wave_row(n, divisors, lambda j, n: built[j](n), expected[n], den)
         for n in range(n_max + 1)
     )

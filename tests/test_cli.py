@@ -71,6 +71,15 @@ def test_dary_commands_take_n_zero(capsys):
         assert "n must be non-negative" in err
 
 
+def test_dp_oracle_refuses_n_past_sys_maxsize(capsys):
+    # n // G + 1 list entries cannot be indexed: a usage error raised before
+    # the DP allocates anything, not an OverflowError from the allocation
+    rc, out, err = run(capsys, ["count", "--parts", "2,3,5,7", "--n", str(10**30)])
+    assert (rc, out) == (2, "")
+    assert err == ("partwaves: error: the DP oracle's n // 1 + 1 entries "
+                   "exceed sys.maxsize\n")
+
+
 def test_json_round_trips_byte_identical(capsys):
     commands = [
         ["count", "--parts", "1,3", "--n", "8"],

@@ -194,7 +194,7 @@ def test_polynomial_part_routes_share_no_code(monkeypatch):
     assert polynomial_part_average(a) == average
     monkeypatch.undo()
     monkeypatch.setattr(waves, "_residue_moments", forbidden)
-    monkeypatch.setattr(waves, "_poly_from_box_moments", forbidden)
+    monkeypatch.setattr(waves, "_poly_numerators", forbidden)
     assert polynomial_part_bernoulli(a) == bernoulli_route
 
 
@@ -360,8 +360,8 @@ def test_sweep_builds_each_wave_once(monkeypatch, variant):
     import partwaves.waves as waves
 
     calls = []
-    expand = waves._poly_from_box_moments
-    monkeypatch.setattr(waves, "_poly_from_box_moments",
+    expand = waves._poly_numerators
+    monkeypatch.setattr(waves, "_poly_numerators",
                         lambda *args: calls.append(1) or expand(*args))
     a = PartsList((3, 4, 6, 10, 12))
     wave_decomposition_check(a, 80, variant)
@@ -373,8 +373,8 @@ def test_single_wave_expands_one_class(monkeypatch):
     from partwaves.cli import main
 
     calls = []
-    expand = waves._poly_from_box_moments
-    monkeypatch.setattr(waves, "_poly_from_box_moments",
+    expand = waves._poly_numerators
+    monkeypatch.setattr(waves, "_poly_numerators",
                         lambda *args: calls.append(1) or expand(*args))
     binary = PartsList(tuple(2**i for i in range(7)))
     assert len(divisor_set(binary)) == 7
@@ -420,6 +420,7 @@ def test_built_wave_keeps_each_class_apart(parts, data):
     a = PartsList(parts)
     r = len(parts)
     specs = [(p, a.D // p) for p in parts]
+    den = a.D**r * math.factorial(r - 1)
     want = partial_fraction_waves(parts, 3 * max(parts))
     for j in divisor_set(a):
         built = waves._build_wave(r, a.D, j, specs, TWISTED)
@@ -428,7 +429,49 @@ def test_built_wave_keeps_each_class_apart(parts, data):
         # repeats and a shuffled order: a class expanded at one n must serve
         # every later n of that class and no other
         for n in data.draw(st.permutations(ns + ns)):
-            assert built(n) == wave(j, a, n) == want[j][n]
+            assert Fraction(built(n), den) == wave(j, a, n) == want[j][n]
+
+
+@st.composite
+def small_parts_lists(draw):
+    """Up to five distinct parts whose lcm D is at most 60."""
+    D = draw(st.integers(1, 60))
+    divisors = [p for p in range(1, D + 1) if D % p == 0]
+    return PartsList(draw(st.lists(st.sampled_from(divisors), min_size=1,
+                                   max_size=5, unique=True)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(a=small_parts_lists(), n_max=st.integers(0, 24), data=st.data())
+def test_integer_sums_catch_a_moved_unit(a, n_max, data):
+    import partwaves.waves as waves
+
+    rows = wave_decomposition_check(a, n_max)
+    for row in rows:
+        values = [wave(j, a, row.n) for j in divisor_set(a)]
+        assert [term.value for term in row.terms] == values
+        assert row.total == sum(values, Fraction(0))
+        assert row.residual == row.total - denumerant_dp(a, row.n) == 0
+    # one wave's numerator moved by +1 at one n: that row, and no other,
+    # is off by exactly 1 / (D**r * (r-1)!)
+    shifted_j = data.draw(st.sampled_from(divisor_set(a)))
+    shifted_n = data.draw(st.integers(0, n_max))
+    build = waves._build_wave
+
+    def shifted(r, D, j, specs, variant):
+        at = build(r, D, j, specs, variant)
+        return (lambda n: at(n) + (n == shifted_n)) if j == shifted_j else at
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(waves, "_build_wave", shifted)
+        moved = wave_decomposition_check(a, n_max)
+    r = len(a.parts)
+    for row in moved:
+        if row.n == shifted_n:
+            assert not row.ok
+            assert row.residual == Fraction(1, a.D**r * math.factorial(r - 1))
+        else:
+            assert row.ok and row.residual == 0
 
 
 def test_every_cache_is_bounded():

@@ -28,7 +28,11 @@ not begin with a command name.  For the reconstruction's combinations
 pass it also runs a full j = 3 map at ell = 40 (9880 products) in all three
 formats, a valid map given in reversed order, a map of the right size with
 one bad key, index heads with whitespace and leading zeros, and the
-workload's largest circulant sweep (n_max = 18) in json.
+workload's largest circulant sweep (n_max = 18) in json.  For the waves'
+integer numerators over D**r * (r-1)! it runs a six-part table at D = 360360
+(numerators far past 64 bits) in all three formats, a twisted sweep of
+1,...,6 to n = 400 in json and text, and the defective literal window at
+k = 5 in csv.
 
 Exit code 0 when every argv agrees, 1 when any differs, 2 on bad usage.
 """
@@ -266,6 +270,16 @@ def argv_list() -> list[list[str]]:
         for variant in VARIANTS
         for fmt in FORMATS
     ]
+    # Wave values as integer numerators over one denominator: D = 360360
+    # puts it near 2.6e35; a sweep sums 6 waves per n over 401 values of
+    # n; the literal d = 2 window at n = 40 takes the defective branch at
+    # k = 5, which divides by its own denominator.
+    argvs += [["waves", "--parts", "7,8,9,10,11,13", "--n", "100003",
+               "--format", fmt] for fmt in FORMATS]
+    argvs += [["verify", "--mode", "waves", "--parts", "1,2,3,4,5,6",
+               "--n-max", "400", "--format", fmt] for fmt in ("json", "text")]
+    argvs.append(["waves", "--d", "2", "--n", "40", "--variant", "literal",
+                  "--format", "csv"])
     argvs += single_waves + large_windows + gcd_drops + dp_classes
     argvs += failing + [argv + ["--format", "json"] for argv in failing + edges]
     return argvs + usage + boundary
