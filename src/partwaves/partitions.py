@@ -4,11 +4,11 @@ partition operations.
 `denumerant_dp` is the ground truth the closed formulas elsewhere in the
 package are checked against: it counts partitions with parts restricted to a
 fixed list by the classic coin-counting dynamic program, run only on the
-residue classes the one count reads.  The parts are added in an order where
-G, the gcd of the parts still to come, grows fast (on a d-ary window 1, d,
-d**2, ..., so G = d**i), and after each part only the sums congruent to n
-modulo G are kept.  `denumerant_series` is the plain DP over every sum up to
-n_max, for callers that need the whole series.
+residue classes the one count reads, and it imports nothing from them.  The
+parts are added in an order where G, the gcd of the parts still to come,
+grows fast (G = d**i on a d-ary window), only the sums congruent to n modulo
+G are kept, and each part is added as running sums per residue class of its
+stride.  `denumerant_series` is the plain DP over every sum up to n_max.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from itertools import combinations
+from itertools import accumulate, combinations
 
 __all__ = [
     "Partition",
@@ -188,11 +188,11 @@ def _dp_order(parts) -> list[int]:
 def denumerant_dp(a: PartsList, n: int) -> int:
     """Number of partitions of n with parts in `a`; the package-wide oracle.
 
-    The coin DP restricted to the entries that the count of n reads.  The
-    parts are added in `_dp_order`; once a part is added, only the sums m
-    with m = n (mod G) are kept, G the gcd of the parts still to come,
-    indexed as m = n - G*t, so a coarser G is one slice.  The first part is
-    an indicator, each middle part a running sum, the last part one sum.
+    The coin DP on the sums the count of n reads.  The parts are added in
+    `_dp_order`; once a part is added, only the sums m = n (mod G) are kept,
+    G the gcd of the parts still to come, ascending as m = n % G + G*u, so a
+    coarser G is one slice ending at n.  The first part is an indicator, a
+    middle part p running sums over each class of u mod p/G, the last a sum.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -205,18 +205,18 @@ def denumerant_dp(a: PartsList, n: int) -> int:
     G = math.gcd(*rest)
     if n // G + 1 > sys.maxsize:
         raise ValueError(f"the DP oracle's n // {G} + 1 entries exceed sys.maxsize")
-    # first divides n - G*t exactly when t = n/g * (G/g)^-1 mod first/g.
+    # first divides m exactly when n // G - u = n/g * (G/g)^-1 mod first/g.
     step = first // g
-    start = n // g * pow(G // g, -1, step) % step
+    start = (n // G - n // g * pow(G // g, -1, step)) % step
     ways = [0] * (n // G + 1)
     ways[start::step] = [1] * len(range(start, len(ways), step))
     for i, p in enumerate(rest[:-1], 1):
         s = p // G
-        for t in range(len(ways) - 1 - s, -1, -1):
-            ways[t] += ways[t + s]
-        coarser = math.gcd(*rest[i:])
-        if coarser > G:
-            ways, G = ways[:: coarser // G], coarser
+        for c in range(min(s, len(ways) - s)):
+            ways[c::s] = accumulate(ways[c::s])
+        k = math.gcd(*rest[i:]) // G
+        if k > 1:
+            ways, G = ways[(len(ways) - 1) % k :: k], G * k
     return sum(ways)
 
 

@@ -4,10 +4,10 @@ it shares with the waves.
 `_fold` folds (stride, count) box specs, largest stride first, into the
 distribution of their weighted sums kept only on multiples of the running
 gcd, so each part of a d-ary window spreads with stride 1.
-`denumerant_formula` folds all parts but the smallest and reads each needed
-box entry as a strided window sum of that distribution over the smallest
-part's range, never building the box; `waves._residue_moments` folds the
-short parts of its coordinates.
+`denumerant_formula` folds all parts but the smallest, dropping each sum
+above n, and reads each needed box entry as a strided window sum of that
+distribution over the smallest part's range, never building the box;
+`waves._residue_moments` folds the short parts of its coordinates in full.
 
 The module keeps its name because the benchmark's per-layer metrics
 (`bench/tracing.LAYERS` and the `quasipoly.*` names) are keyed on it.
@@ -16,6 +16,7 @@ The module keeps its name because the benchmark's per-layer metrics
 from __future__ import annotations
 
 import math
+import sys
 from itertools import accumulate, chain, repeat
 from operator import sub
 
@@ -44,13 +45,15 @@ def _spread(counts: list[int], stride: int, count: int) -> list[int]:
     return out
 
 
-def _fold(specs, g: int) -> tuple[list[int], int]:
+def _fold(specs, g: int, top: int = sys.maxsize) -> tuple[list[int], int]:
     """Distribution of s = sum(stride_i * t_i), 0 <= t_i < count_i, over the
     box of the positive-stride `specs`, as (counts, g): counts[i] tuples have
     s = g * i, where g is the gcd of the strides and the given g.
 
     The strides fold largest first on multiples of the running gcd, widening
-    only when it drops; the empty box is the single sum 0, a multiple of g."""
+    only when it drops; the empty box is the single sum 0, a multiple of g.
+    Each step drops the sums above `top` (no stride is negative), so counts
+    is exact on s <= top and has at most top // g + 1 entries."""
     counts = [1]
     for stride, count in sorted(specs, reverse=True):
         g2 = math.gcd(g, stride)
@@ -59,27 +62,29 @@ def _fold(specs, g: int) -> tuple[list[int], int]:
             wide[:: g // g2] = counts
             counts, g = wide, g2
         counts = _spread(counts, stride // g, count)
+        del counts[top // g + 1 :]
     return counts, g
 
 
 def denumerant_formula(a: PartsList, n: int) -> int:
     """Exact closed-formula count of partitions of n with parts in `a`.
 
-    Sums the rising product over residue tuples whose weighted sum s is
-    congruent to n modulo D, divided by (r-1)!.  The number of tuples with
-    sum s comes from a partial box: `_fold` folds the parts but the smallest
-    into a distribution kept only on multiples of g, the gcd of those parts,
-    and the smallest part's coordinate is a strided window sum of it.  The
-    full box is never built.  The result is the integer count, equal to
-    `denumerant_dp(a, n)`; ArithmeticError if the division by (r-1)! leaves
-    a remainder.
+    Sums the rising product over residue tuples whose weighted sum s <= n
+    is congruent to n modulo D, divided by (r-1)!.  `_fold` folds the parts
+    but the smallest, up to s = n, on multiples of g, the gcd of those
+    parts; each box entry is a strided window sum of that over the smallest
+    part's range.  The result is the integer count, equal to
+    `denumerant_dp(a, n)`.  ValueError when the fold would outgrow
+    sys.maxsize entries; ArithmeticError if (r-1)! leaves a remainder.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     D = a.D
     r = len(a.parts)
     *folded, last = sorted(a.parts, reverse=True)
-    counts, g = _fold([(p, D // p) for p in folded], D)
+    if min(n, sum(D - p for p in folded)) // math.gcd(D, *folded) >= sys.maxsize:
+        raise ValueError("the closed formula's box entries exceed sys.maxsize")
+    counts, g = _fold([(p, D // p) for p in folded], D, n)
     # Box entry s sums counts over s - last * t, 0 <= t < D/last, where g
     # divides s - last * t: t = t0 + m * i with m = g/h, h = gcd(g, last),
     # which is D * h / (last * g) terms stepping down by last/h indices.

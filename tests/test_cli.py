@@ -80,6 +80,24 @@ def test_dp_oracle_refuses_n_past_sys_maxsize(capsys):
                    "exceed sys.maxsize\n")
 
 
+def test_formula_refuses_a_fold_past_sys_maxsize():
+    # The window (1, 2, ..., 2**99) would fold 10**30 // 2 + 1 sums.  The
+    # refusal must come before the fold allocates, so the call runs under a
+    # 1 GB address-space cap and a timeout: a missing check fails fast with
+    # a MemoryError instead of taking the machine's memory.
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from partwaves.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "dary-count", "--d", "2", "--n", str(10**30)],
+        capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("partwaves: error: the closed formula's box entries "
+                           "exceed sys.maxsize\n")
+
+
 def test_json_round_trips_byte_identical(capsys):
     commands = [
         ["count", "--parts", "1,3", "--n", "8"],

@@ -1,10 +1,12 @@
+import ast
+import inspect
 import math
 import random
 from itertools import combinations
 
 import pytest
 
-from partwaves import partitions
+from partwaves import partitions, quasipoly
 from partwaves.partitions import (
     Partition,
     PartsList,
@@ -141,6 +143,28 @@ def test_dp_builds_no_full_series(monkeypatch):
 
     monkeypatch.setattr(partitions, "denumerant_series", forbidden)
     assert [denumerant_dp(window, 9079), denumerant_dp(general, 5000)] == expected
+
+
+def test_dp_shares_no_code_with_the_formulas(monkeypatch):
+    # The DP is the formulas' oracle: it imports nothing from the box fold
+    # or the waves, and still counts with both made to fail.
+    tree = ast.parse(inspect.getsource(partitions))
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names}
+    assert not {name for name in imported
+                if name and ("quasipoly" in name or "waves" in name)}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("denumerant_dp reached the closed formula's fold")
+
+    monkeypatch.setattr(quasipoly, "_spread", forbidden)
+    monkeypatch.setattr(quasipoly, "_fold", forbidden)
+    window = PartsList(tuple(3**i for i in range(8)))
+    general = PartsList((2, 3, 5, 11, 13, 14))
+    for a, n in ((window, 6560), (window, 6561), (general, 3001), (general, 6006)):
+        assert denumerant_dp(a, n) == denumerant_series(a, n)[n], (a, n)
 
 
 def test_dp_order_takes_the_part_leaving_the_largest_gcd():

@@ -44,12 +44,29 @@ def test_waves_sum_to_count_and_routes_agree(parts, n):
     assert wave(1, a, n) == average.evaluate(n)
 
 
+@st.composite
+def parts_and_n(draw):
+    parts = draw(st.lists(st.integers(1, 16), min_size=1, max_size=5, unique=True))
+    return parts, draw(st.integers(0, 3 * math.lcm(*parts)))
+
+
 @settings(deadline=None)
-@given(parts=st.lists(st.integers(1, 16), min_size=1, max_size=5, unique=True),
-       data=st.data())
-def test_formula_equals_dp(parts, data):
+@given(case=parts_and_n())
+# n = r*D - 1, r*D and r*D + 1: the formula reads box sums s <= min(n, r*D),
+# and its fold stops at n.  Five parts with D = 180 and 1680 (gcds that drop
+# as they fold), and the window (1, 2, 4, 8, 16).
+@example(case=([4, 6, 9, 10, 15], 899))
+@example(case=([4, 6, 9, 10, 15], 900))
+@example(case=([4, 6, 9, 10, 15], 901))
+@example(case=([3, 8, 14, 15, 16], 8399))
+@example(case=([3, 8, 14, 15, 16], 8400))
+@example(case=([3, 8, 14, 15, 16], 8401))
+@example(case=([1, 2, 4, 8, 16], 79))
+@example(case=([1, 2, 4, 8, 16], 80))
+@example(case=([1, 2, 4, 8, 16], 81))
+def test_formula_equals_dp(case):
+    parts, n = case
     a = PartsList(parts)
-    n = data.draw(st.integers(0, 3 * a.D))
     assert denumerant_formula(a, n) == denumerant_dp(a, n)
 
 

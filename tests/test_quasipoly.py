@@ -105,16 +105,55 @@ def test_formula_does_not_build_the_box(monkeypatch):
     specs=st.lists(st.tuples(st.sampled_from((1, 2, 3, 4, 6, 9, 10, 12, 15, 30)),
                              st.integers(1, 4)), max_size=5),
     g=st.sampled_from((1, 6, 30, 60, 180)),
+    top=st.integers(0, 150),
 )
 # The running gcd drops 60 -> 30 -> 10 -> 2 -> 1, with stride 10 twice.
-@example(specs=[(10, 3), (3, 3), (30, 2), (4, 2), (10, 1)], g=60)
-def test_fold_equals_the_enumerated_box(specs, g):
+@example(specs=[(10, 3), (3, 3), (30, 2), (4, 2), (10, 1)], g=60, top=75)
+# A cut at a sum the next stride steps over: 0 and 10 survive, 20 goes.
+@example(specs=[(10, 3), (1, 1)], g=10, top=15)
+def test_fold_equals_the_enumerated_box(specs, g, top):
     box = Counter(sum(stride * t for (stride, _), t in zip(specs, ts))
                   for ts in product(*(range(count) for _, count in specs)))
     counts, g_out = _fold(specs, g)
     assert g_out == math.gcd(g, *(stride for stride, _ in specs))
     assert len(counts) == max(box) // g_out + 1
     assert {g_out * i: c for i, c in enumerate(counts) if c} == box
+    # Cut at top, the fold is the box restricted to s <= top, on the same g.
+    capped, g_capped = _fold(specs, g, top)
+    assert g_capped == g_out
+    assert len(capped) <= min(max(box), top) // g_out + 1
+    assert ({g_out * i: c for i, c in enumerate(capped) if c}
+            == {s: c for s, c in box.items() if s <= top})
+
+
+def test_formula_fold_keeps_no_sum_above_n(monkeypatch):
+    # At n < D the uncapped fold would reach sums near (r - 1) * D; every
+    # list the fold carries from one step to the next, and the list it
+    # returns, holds at most n // g + 1 entries, g the gcd of the folded
+    # parts (the running gcd is a multiple of it).
+    spread, fold = quasipoly._spread, quasipoly._fold
+    for parts, n in [((2, 3, 5, 7), 150), ((2, 3, 5, 11, 13, 14), 20000),
+                     ((12, 8, 6, 9), 50), (tuple(2**i for i in range(14)), 8191),
+                     (tuple(3**i for i in range(9)), 6560)]:
+        a = PartsList(parts)
+        assert n < a.D
+        *folded, _ = sorted(parts, reverse=True)
+        bound = n // math.gcd(*folded) + 1
+        kept = []
+
+        def spy_spread(counts, stride, count):
+            kept.append(len(counts))
+            return spread(counts, stride, count)
+
+        def spy_fold(specs, g, top):
+            counts, g = fold(specs, g, top)
+            kept.append(len(counts))
+            return counts, g
+
+        monkeypatch.setattr(quasipoly, "_spread", spy_spread)
+        monkeypatch.setattr(quasipoly, "_fold", spy_fold)
+        assert denumerant_formula(a, n) == denumerant_dp(a, n)
+        assert kept and max(kept) <= bound, (parts, n, max(kept), bound)
 
 
 def test_dary_windows_fold_with_stride_one(monkeypatch):

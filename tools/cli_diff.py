@@ -32,7 +32,10 @@ workload's largest circulant sweep (n_max = 18) in json.  For the waves'
 integer numerators over D**r * (r-1)! it runs a six-part table at D = 360360
 (numerators far past 64 bits) in all three formats, a twisted sweep of
 1,...,6 to n = 400 in json and text, and the defective literal window at
-k = 5 in csv.
+k = 5 in csv.  For the formula's fold, which stops at n, and the DP's
+running sums it runs, in json, `count` on a six-part list with D = 30030
+at n < D and at n = r*D - 1, r*D and r*D + 1, and `dary-count` at n = d**k
+and n = d**(k+1) - 1 for d = 2, k = 13 and d = 3, k = 8.
 
 Exit code 0 when every argv agrees, 1 when any differs, 2 on bad usage.
 """
@@ -280,6 +283,12 @@ def argv_list() -> list[list[str]]:
                "--n-max", "400", "--format", fmt] for fmt in ("json", "text")]
     argvs.append(["waves", "--d", "2", "--n", "40", "--variant", "literal",
                   "--format", "csv"])
+    # The fold cut at n: below D = 30030 and around r*D = 180180, where the
+    # formula's last box sum is read; the windows at their two ends.
+    argvs += [["count", "--parts", "2,3,5,11,13,14", "--n", str(n), "--format",
+               "json"] for n in (20000, 180179, 180180, 180181)]
+    argvs += [["dary-count", "--d", str(d), "--n", str(n), "--format", "json"]
+              for d, k in ((2, 13), (3, 8)) for n in (d**k, d ** (k + 1) - 1)]
     argvs += single_waves + large_windows + gcd_drops + dp_classes
     argvs += failing + [argv + ["--format", "json"] for argv in failing + edges]
     return argvs + usage + boundary
