@@ -52,6 +52,7 @@ from .waves import (
     TWISTED,
     divisor_set,
     NotDivisor,
+    _or_error,
     _wave_row,
     polynomial_part_average,
     polynomial_part_bernoulli,
@@ -101,13 +102,18 @@ def _text_lines(record) -> list[str]:
 
 
 def _emit(record, header, rows, fmt: str) -> None:
+    """Print the record as json or text, or the table as csv.
+
+    The table builders hand over cells that csv renders as `_scalar` would:
+    ints, Fractions, strings, and None for an empty cell (booleans and lists
+    are formatted when the table is built).  So the csv table goes out in
+    one `writerows` pass, with no cell converted here."""
     if fmt == "json":
         print(json.dumps(record, separators=(",", ":"), default=_json_fraction))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_scalar(cell) for cell in row])
+        writer.writerows(rows)
     else:
         for line in _text_lines(record):
             print(line)
@@ -166,7 +172,7 @@ def _count(inputs, metadata, cells, formula, oracle):
         "agreement": agreement,
     }
     header = [*cells, "count", "oracle", "agreement"]
-    rows = [[*cells.values(), formula, oracle, agreement]]
+    rows = [[*map(_scalar, cells.values()), formula, oracle, _scalar(agreement)]]
     return record, header, rows, 0 if agreement else 1
 
 
@@ -226,11 +232,15 @@ def _cmd_poly_part(args):
     return record, header, rows, 0 if agreement else 1
 
 
-def _term_rows(check_rows) -> list[list]:
-    """Table rows n, j, value or error, sum, oracle, agreement per wave term."""
-    return [[row.n, term.j, term.value if term.value is not None else term.error,
-             row.total, row.expected, row.ok]
-            for row in check_rows for term in row.terms]
+def _term_rows(check_rows):
+    """Table rows n, j, value or error, sum, oracle, agreement per wave term.
+
+    A row's sum and agreement are formatted once and shared by its terms.
+    The rows are made as they are read, so only csv output makes them."""
+    for row in check_rows:
+        total, ok = _scalar(row.total), _scalar(row.ok)
+        yield from [[row.n, term.j, term.value if term.value is not None else term.error,
+                     total, row.expected, ok] for term in row.terms]
 
 
 def _cmd_waves(args):
@@ -244,7 +254,7 @@ def _cmd_waves(args):
         inputs = {"parts": list(a.parts), "n": n}
         extra = {"D": a.D}
 
-        def term(j: int, n: int) -> Fraction:
+        def term(j: int) -> Fraction:
             return wave(j, a, n, args.variant)
 
     else:
@@ -256,10 +266,12 @@ def _cmd_waves(args):
         inputs = {"d": d, "n": n}
         extra = {"k": k, "D": a.D}
 
-        def term(j: int, n: int) -> Fraction:
+        def term(j: int) -> Fraction:
             return wave_d(j, d, n, args.variant)
 
-    row = _wave_row(n, divisor_set(a), term, denumerant_dp(a, n))
+    divisors = divisor_set(a)
+    row = _wave_row(n, divisors, [_or_error(term, j) for j in divisors],
+                    denumerant_dp(a, n))
     table = [{"j": t.j, "value": t.value} if t.value is not None
              else {"j": t.j, "value": None, "error": t.error} for t in row.terms]
     record = {
@@ -353,7 +365,7 @@ def _cmd_verify(args):
         header = ["mode", "d", "ell", "max_exp", "j",
                   "vectors_checked", "violations", "ok"]
         rows = [[mode, args.d, args.ell, args.max_exp, args.j,
-                 report.vectors_checked, len(report.violations), ok]]
+                 report.vectors_checked, len(report.violations), _scalar(ok)]]
     elif mode == "circulant":
         if args.n_max is None:
             raise ValueError("--mode circulant requires --n-max")
@@ -372,7 +384,7 @@ def _cmd_verify(args):
             },
         }
         header = ["n", "j", "det", "expected", "ok"]
-        rows = [[row.n, row.j, row.det, row.expected, row.ok]
+        rows = [[row.n, row.j, row.det, row.expected, _scalar(row.ok)]
                 for row in checked]
     else:  # "waves", the last of argparse's choices
         if args.parts is None or args.n_max is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 
 __all__ = [
     "Partition",
@@ -114,8 +114,15 @@ class SubsetProductMap:
             raise ValueError("length must be positive")
         if not 1 <= order <= length:
             raise ValueError(f"order must lie in 1..{length}, got {order}")
-        cleaned = {tuple(map(operator.index, key)): operator.index(value)
-                   for key, value in products.items()}
+        # Keys that are tuples of ints with int values are already what the
+        # per-key conversion would make; three C-level passes prove it.
+        if (set(map(type, products)) <= {tuple}
+                and set(map(type, chain.from_iterable(products))) <= {int}
+                and set(map(type, products.values())) <= {int}):
+            cleaned = products
+        else:
+            cleaned = {tuple(map(operator.index, key)): operator.index(value)
+                       for key, value in products.items()}
         if min(cleaned.values(), default=1) < 1:
             raise ValueError("products must be positive")
         count = math.comb(length, order)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import sub
 
 from .partitions import PartsList
@@ -25,23 +25,27 @@ from .partitions import PartsList
 __all__ = ["denumerant_formula"]
 
 
-def _spread(counts: list[int], stride: int, count: int) -> list[int]:
-    """Distribution after adding stride * t, 0 <= t < count, to each value:
-    out[s] = counts[s] + counts[s - stride] + ... (count terms)."""
+def _spread(counts: list[int], stride: int, count: int, size: int) -> list[int]:
+    """Distribution after adding stride * t, 0 <= t < count, to each value,
+    cut to its first `size` entries: out[s] = counts[s] + counts[s - stride]
+    + ... (count terms), for s < size.  Only those entries are allocated and
+    summed."""
 
-    def running(cls):
+    def running(cls, length):
         # Running sum of the class minus the class shifted by `count`
-        # places; the differences are made lazily.
-        return accumulate(
+        # places, stopped after `length` sums; the differences are made
+        # lazily.
+        return islice(accumulate(
             map(sub, chain(cls, repeat(0, count - 1)), chain(repeat(0, count), cls))
-        )
+        ), length)
 
+    size = min(size, len(counts) + stride * (count - 1))
     if stride == 1:
         # One class: no copy of it and no preallocated output to copy into.
-        return list(running(counts))
-    out = [0] * (len(counts) + stride * (count - 1))
-    for c in range(stride):
-        out[c::stride] = running(counts[c::stride])
+        return list(running(counts, size))
+    out = [0] * size
+    for c in range(min(stride, size)):
+        out[c::stride] = running(counts[c::stride], len(range(c, size, stride)))
     return out
 
 
@@ -52,8 +56,8 @@ def _fold(specs, g: int, top: int = sys.maxsize) -> tuple[list[int], int]:
 
     The strides fold largest first on multiples of the running gcd, widening
     only when it drops; the empty box is the single sum 0, a multiple of g.
-    Each step drops the sums above `top` (no stride is negative), so counts
-    is exact on s <= top and has at most top // g + 1 entries."""
+    Each spread stops at the sums above `top` (no stride is negative), so
+    counts is exact on s <= top and has at most top // g + 1 entries."""
     counts = [1]
     for stride, count in sorted(specs, reverse=True):
         g2 = math.gcd(g, stride)
@@ -61,8 +65,7 @@ def _fold(specs, g: int, top: int = sys.maxsize) -> tuple[list[int], int]:
             wide = [0] * ((len(counts) - 1) * (g // g2) + 1)
             wide[:: g // g2] = counts
             counts, g = wide, g2
-        counts = _spread(counts, stride // g, count)
-        del counts[top // g + 1 :]
+        counts = _spread(counts, stride // g, count, top // g + 1)
     return counts, g
 
 

@@ -35,6 +35,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import mul
 
 from .exact import (
@@ -264,22 +265,37 @@ def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fracti
 WaveTerm = namedtuple("WaveTerm", "j value error", defaults=("",))
 WaveCheckRow = namedtuple("WaveCheckRow", "n terms total expected residual ok")
 
+_ZERO = Fraction(0)
 
-def _wave_row(n: int, divisors, wave_at, expected: int, den: int = 1) -> WaveCheckRow:
-    """Sum wave_at(j, n), numerators over den (at den = 1 the values), and
-    compare with `expected`; an irrational extraction fails its term and row."""
-    terms, nums = [], []
-    for j in divisors:
-        try:
-            nums.append(wave_at(j, n))
-            terms.append(WaveTerm(j, Fraction(nums[-1], den)))
-        except NotRational as exc:
-            terms.append(WaveTerm(j, None, str(exc)))
-    if len(nums) < len(terms):
-        return WaveCheckRow(n, tuple(terms), None, expected, None, False)
-    residual = Fraction(sum(nums) - expected * den, den)
-    return WaveCheckRow(n, tuple(terms), residual + expected, expected,
-                        residual, residual == 0)
+
+def _or_error(at, x):
+    """at(x), or the NotRational it raised."""
+    try:
+        return at(x)
+    except NotRational as exc:
+        return exc
+
+
+def _wave_row(n: int, divisors, nums, expected: int, den: int = 1) -> WaveCheckRow:
+    """The row at n of the waves over `divisors`, from their values `nums`
+    as numerators over den (at den = 1 the values), checked against
+    `expected`.  A NotRational in place of a numerator is an irrational
+    extraction: its term fails, and so does the row, with no total.
+
+    The check is the integer comparison sum(nums) == expected * den; the
+    row's total is one Fraction of that sum, and every ok row shares one
+    zero residual."""
+    if any(map(isinstance, nums, repeat(NotRational))):
+        terms = tuple(WaveTerm(j, None, str(num)) if isinstance(num, NotRational)
+                      else WaveTerm(j, Fraction(num, den))
+                      for j, num in zip(divisors, nums))
+        return WaveCheckRow(n, terms, None, expected, None, False)
+    terms = tuple(map(WaveTerm, divisors, map(Fraction, nums, repeat(den))))
+    total = sum(nums)
+    if total == expected * den:
+        return WaveCheckRow(n, terms, Fraction(total, den), expected, _ZERO, True)
+    total = Fraction(total, den)
+    return WaveCheckRow(n, terms, total, expected, total - expected, False)
 
 
 def wave_decomposition_check(
@@ -288,16 +304,20 @@ def wave_decomposition_check(
     """Check sum of waves, each built once, against the DP oracle for all
     n <= n_max: one row per n, ascending, its terms in ascending j over
     `divisor_set(a)`, summed as integer numerators.  Failures (including
-    irrational extractions) are data in the rows, never exceptions."""
+    irrational extractions) are data in the rows, never exceptions.
+
+    Each built wave is evaluated once as a column over n = 0..n_max, an
+    irrational extraction (literal variant) leaving its NotRational in the
+    column, and the columns are zipped into the rows' numerators."""
     _check_variant(variant)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     divisors = divisor_set(a)
     r = len(a.parts)
     specs = [(p, a.D // p) for p in a.parts]
-    built = {j: _build_wave(r, a.D, j, specs, variant) for j in divisors}
+    built = [_build_wave(r, a.D, j, specs, variant) for j in divisors]
+    ns = range(n_max + 1)
+    columns = [[_or_error(at, n) for n in ns] for at in built]
     expected, den = denumerant_series(a, n_max), _denominator(r, a.D)
-    return tuple(
-        _wave_row(n, divisors, lambda j, n: built[j](n), expected[n], den)
-        for n in range(n_max + 1)
-    )
+    return tuple(map(_wave_row, ns, repeat(divisors), zip(*columns), expected,
+                     repeat(den)))

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import importlib.util
 import io
 import json
@@ -13,6 +14,10 @@ import pytest
 import partwaves
 from partwaves import cli
 from partwaves.cli import main
+from partwaves.partitions import PartsList, denumerant_dp
+from partwaves.quasipoly import denumerant_formula
+from partwaves.reconstruct import circulant_det_check
+from partwaves.waves import LITERAL, TWISTED, wave_decomposition_check
 
 CLI_DIFF = Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py"
 # A subprocess finds the package under test wherever pytest found it.
@@ -308,6 +313,61 @@ def test_verify_waves_literal_fails(capsys):
     record = json.loads(out)
     assert record["result"]["ok"] is False
     assert len(record["metadata"]["failures"]) == 11
+
+
+def _per_cell(value):
+    """The csv cell rule applied one cell at a time: booleans as true/false,
+    None empty, a list comma-joined, anything else its str()."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ",".join(_per_cell(v) for v in value)
+    return str(value)
+
+
+def _per_cell_csv(header, rows):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_per_cell(cell) for cell in row])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("parts, n_max, variant", [
+    ("1,2,3,4,5,6", 40, TWISTED),
+    # literal rows with a total, failing at odd n (j = 2), and rows with
+    # none (j = 3, 5, 7)
+    ("1,2", 12, LITERAL),
+    ("3,5,7", 12, LITERAL),
+])
+def test_sweep_csv_equals_the_per_cell_rendering(capsys, parts, n_max, variant):
+    a = PartsList(tuple(map(int, parts.split(","))))
+    rows = [[row.n, term.j, term.value if term.value is not None else term.error,
+             row.total, row.expected, row.ok]
+            for row in wave_decomposition_check(a, n_max, variant) for term in row.terms]
+    expected = _per_cell_csv(["n", "j", "value", "total", "expected", "ok"], rows)
+    rc, out, err = run(capsys, ["verify", "--mode", "waves", "--parts", parts,
+                                "--n-max", str(n_max), "--variant", variant,
+                                "--format", "csv"])
+    assert rc == (0 if variant == TWISTED else 1)
+    assert out == expected
+
+
+def test_small_tables_csv_equal_the_per_cell_rendering(capsys):
+    rows = [[row.n, row.j, row.det, row.expected, row.ok]
+            for row in circulant_det_check(8)]
+    rc, out, err = run(capsys, ["verify", "--mode", "circulant", "--n-max", "8",
+                                "--format", "csv"])
+    assert (rc, out) == (0, _per_cell_csv(["n", "j", "det", "expected", "ok"], rows))
+    a = PartsList((2, 3, 7))
+    rows = [[[2, 3, 7], 40, denumerant_formula(a, 40), denumerant_dp(a, 40), True]]
+    rc, out, err = run(capsys, ["count", "--parts", "2,3,7", "--n", "40",
+                                "--format", "csv"])
+    assert (rc, out) == (
+        0, _per_cell_csv(["parts", "n", "count", "oracle", "agreement"], rows))
 
 
 def test_verify_missing_mode_args(capsys):

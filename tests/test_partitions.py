@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import random
+from collections import namedtuple
 from itertools import combinations
 
 import pytest
@@ -250,6 +251,25 @@ def test_subset_product_map_validation():
         SubsetProductMap(60, 30, {(1,): 2, (60,): 1})
     with pytest.raises(ValueError, match="expected 118264581564861424 index tuples, got 1"):
         SubsetProductMap(60, 30, {tuple(range(1, 31)): 2})
+
+
+def test_subset_product_map_converts_keys_that_are_not_plain_ints():
+    # Tuples of ints with int values skip the per-key conversion; anything
+    # else is still converted, so a float is refused and a bool becomes an
+    # int.
+    with pytest.raises(TypeError):
+        SubsetProductMap(2, 1, {(1.0,): 4, (2,): 1})
+    with pytest.raises(TypeError):
+        SubsetProductMap(2, 1, {(1,): 4.0, (2,): 1})
+    with pytest.raises(TypeError):
+        SubsetProductMap(3, 2, {(1, 2): 6, (1, 3.0): 3, (2, 3): 2})
+    spm = SubsetProductMap(2, 1, {(True,): 4, (2,): True})
+    assert dict(spm.items()) == {(1,): 4, (2,): 1}
+    assert {type(i) for key, value in spm.items() for i in (*key, value)} == {int}
+    # A tuple subclass as a key is converted to a plain tuple.
+    pair = namedtuple("pair", "i j")
+    spm = SubsetProductMap(3, 2, {(1, 2): 6, pair(1, 3): 3, (2, 3): 2})
+    assert [type(key) for key, _ in spm.items()] == [tuple] * 3
 
 
 def test_subset_product_map_items_sorted():

@@ -2,6 +2,7 @@
 
 import math
 import operator
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -129,6 +130,43 @@ def test_sweep_terms_are_single_waves(parts, n_max, variant):
         for term in row.terms:
             got = term.value if term.value is not None else term.error
             assert got == _wave_or_error(term.j, a, row.n, variant)
+
+
+@settings(deadline=None)
+@given(parts=parts_lists, n_max=st.integers(0, 30),
+       variant=st.sampled_from((TWISTED, LITERAL)), data=st.data())
+@example(parts=[1, 3], n_max=6, variant=LITERAL, data=None)
+@example(parts=[1, 2], n_max=6, variant=LITERAL, data=None)
+def test_sweep_rows_keep_their_invariants(parts, n_max, variant, data):
+    import partwaves.waves as waves
+
+    a = PartsList(parts)
+    build = waves._build_wave
+    # Move one wave's numerator by a drawn amount at one n, so that rows
+    # that fail their check are drawn too.
+    shift = (0, 0, 0) if data is None else (
+        data.draw(st.sampled_from(divisor_set(a))), data.draw(st.integers(0, n_max)),
+        data.draw(st.integers(-3, 3)))
+
+    def shifted(r, D, j, specs, variant):
+        at = build(r, D, j, specs, variant)
+        return (lambda n: at(n) + shift[2] * (n == shift[1])) if j == shift[0] else at
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(waves, "_build_wave", shifted)
+        rows = wave_decomposition_check(a, n_max, variant)
+    for row in rows:
+        values = [term.value for term in row.terms]
+        if None in values:
+            assert row.total is None and row.residual is None and not row.ok
+            assert all(term.error for term in row.terms if term.value is None)
+            continue
+        assert all(term.error == "" for term in row.terms)
+        assert row.total == sum(values, Fraction(0))
+        assert row.residual == row.total - row.expected
+        assert row.ok == (row.residual == 0)
+        if variant == TWISTED:
+            assert row.ok == (row.n != shift[1] or shift[2] == 0)
 
 
 @settings(deadline=None)

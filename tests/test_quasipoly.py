@@ -91,8 +91,8 @@ def test_formula_does_not_build_the_box(monkeypatch):
         a = PartsList(parts)
         box_length = sum(a.D - p for p in parts) + 1
 
-        def spy(counts, stride, count):
-            out = spread(counts, stride, count)
+        def spy(counts, stride, count, size):
+            out = spread(counts, stride, count, size)
             assert len(out) < box_length, "denumerant_formula built the full box"
             return out
 
@@ -126,11 +126,25 @@ def test_fold_equals_the_enumerated_box(specs, g, top):
             == {s: c for s, c in box.items() if s <= top})
 
 
+@settings(deadline=None)
+@given(counts=st.lists(st.integers(0, 9), min_size=1, max_size=12),
+       stride=st.integers(1, 7), count=st.integers(1, 5), size=st.integers(1, 60))
+# A cap below the stride: the classes past it are not spread at all.
+@example(counts=[1, 2, 3], stride=5, count=3, size=2)
+def test_spread_is_the_full_spread_cut_at_size(counts, stride, count, size):
+    full = [0] * (len(counts) + stride * (count - 1))
+    for i, c in enumerate(counts):
+        for t in range(count):
+            full[i + stride * t] += c
+    assert quasipoly._spread(counts, stride, count, size) == full[:size]
+
+
 def test_formula_fold_keeps_no_sum_above_n(monkeypatch):
     # At n < D the uncapped fold would reach sums near (r - 1) * D; every
     # list the fold carries from one step to the next, and the list it
     # returns, holds at most n // g + 1 entries, g the gcd of the folded
-    # parts (the running gcd is a multiple of it).
+    # parts (the running gcd is a multiple of it).  Each list `_spread`
+    # returns holds at most the `size` it was asked for, the fold's cap.
     spread, fold = quasipoly._spread, quasipoly._fold
     for parts, n in [((2, 3, 5, 7), 150), ((2, 3, 5, 11, 13, 14), 20000),
                      ((12, 8, 6, 9), 50), (tuple(2**i for i in range(14)), 8191),
@@ -141,9 +155,11 @@ def test_formula_fold_keeps_no_sum_above_n(monkeypatch):
         bound = n // math.gcd(*folded) + 1
         kept = []
 
-        def spy_spread(counts, stride, count):
-            kept.append(len(counts))
-            return spread(counts, stride, count)
+        def spy_spread(counts, stride, count, size):
+            out = spread(counts, stride, count, size)
+            assert len(out) <= size, (parts, n, len(out), size)
+            kept.extend((len(counts), len(out)))
+            return out
 
         def spy_fold(specs, g, top):
             counts, g = fold(specs, g, top)
@@ -162,9 +178,9 @@ def test_dary_windows_fold_with_stride_one(monkeypatch):
     strides = []
     spread = quasipoly._spread
 
-    def spy(counts, stride, count):
+    def spy(counts, stride, count, size):
         strides.append(stride)
-        return spread(counts, stride, count)
+        return spread(counts, stride, count, size)
 
     monkeypatch.setattr(quasipoly, "_spread", spy)
     for d, n in ((2, 100), (3, 200), (5, 700)):

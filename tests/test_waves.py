@@ -553,8 +553,8 @@ def test_waves_build_nothing_box_sized(monkeypatch):
     sparse, dense = PartsList((2, 7, 8, 9, 10, 11)), PartsList(tuple(range(1, 13)))
     spread = quasipoly._spread
 
-    def spy(counts, stride, count):
-        out = spread(counts, stride, count)
+    def spy(counts, stride, count, size):
+        out = spread(counts, stride, count, size)
         assert len(out) < sparse.D == dense.D, "a wave built a period-sized list"
         return out
 

@@ -31,8 +31,11 @@ one bad key, index heads with whitespace and leading zeros, and the
 workload's largest circulant sweep (n_max = 18) in json.  For the waves'
 integer numerators over D**r * (r-1)! it runs a six-part table at D = 360360
 (numerators far past 64 bits) in all three formats, a twisted sweep of
-1,...,6 to n = 400 in json and text, and the defective literal window at
-k = 5 in csv.  For the formula's fold, which stops at n, and the DP's
+1,...,6 to n = 400 in all three formats, and the defective literal window
+at k = 5 in csv.  For the sweep's csv, written in one pass from cells
+formatted when the table is built, it runs a sweep shaped like the
+benchmark's (six parts, n_max = 200) and the largest circulant sweep in
+csv.  For the formula's fold, which stops at n, and the DP's
 running sums it runs, in json, `count` on a six-part list with D = 30030
 at n < D and at n = r*D - 1, r*D and r*D + 1, and `dary-count` at n = d**k
 and n = d**(k+1) - 1 for d = 2, k = 13 and d = 3, k = 8.
@@ -280,9 +283,14 @@ def argv_list() -> list[list[str]]:
     argvs += [["waves", "--parts", "7,8,9,10,11,13", "--n", "100003",
                "--format", fmt] for fmt in FORMATS]
     argvs += [["verify", "--mode", "waves", "--parts", "1,2,3,4,5,6",
-               "--n-max", "400", "--format", fmt] for fmt in ("json", "text")]
+               "--n-max", "400", "--format", fmt] for fmt in FORMATS]
     argvs.append(["waves", "--d", "2", "--n", "40", "--variant", "literal",
                   "--format", "csv"])
+    # The csv of a whole sweep: one workload-shaped waves sweep and the
+    # largest circulant sweep.
+    argvs += [["verify", "--mode", "waves", "--parts", "2,3,4,5,6,12",
+               "--n-max", "200", "--format", "csv"],
+              ["verify", "--mode", "circulant", "--n-max", "18", "--format", "csv"]]
     # The fold cut at n: below D = 30030 and around r*D = 180180, where the
     # formula's last box sum is read; the windows at their two ends.
     argvs += [["count", "--parts", "2,3,5,11,13,14", "--n", str(n), "--format",
