@@ -19,6 +19,9 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations, islice
+from math import comb
+from operator import eq
 
 from .dary import (
     NotPowerOfD,
@@ -129,7 +132,38 @@ def _parse_int_list(text: str, label: str) -> tuple[int, ...]:
     return values
 
 
-def _parse_products(text: str) -> dict[tuple[int, ...], int]:
+def _parse_products(text: str, j: int):
+    """The --products map as (length, products by index tuple, echo).
+
+    Canonical text, every index j-tuple in `combinations` order written
+    '%d,...,%d:value' with no spaces (what the echo prints), is read in one
+    pass: its index text is compared with the combinations' text, never
+    converted, and kept as the echo.  Any other text goes to `_parse_chunks`.
+    """
+    toks = text.replace(";", ":").split(":")
+    heads = toks[::2]
+    n = len(heads)
+    try:
+        ell = int(heads[-1].rpartition(",")[2])
+        # Less its digits and commas the text must read ':;:;...:', so each
+        # chunk holds one ':' and no space; the last head bounds j and ell
+        # (by the text's length) before C(ell, j) and the combinations.
+        if (text.encode().translate(None, b"0123456789,") == b":;" * (n - 1) + b":"
+                and heads[-1].count(",") == j - 1 and ell - j < n == comb(ell, j)
+                and all(map(eq, heads, map(",".join, combinations(
+                    map(str, range(1, ell + 1)), j))))):
+            values = list(map(int, islice(toks, 1, None, 2)))
+            del toks
+            return (ell, dict(zip(combinations(range(1, ell + 1), j), values)),
+                    dict(zip(heads, values)))
+    except ValueError:
+        pass
+    return _parse_chunks(text)
+
+
+def _parse_chunks(text: str):
+    """`_parse_products` of any text, chunk by chunk; the echo is None, to be
+    formatted once the map is checked."""
     products: dict[tuple[int, ...], int] = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -152,7 +186,7 @@ def _parse_products(text: str) -> dict[tuple[int, ...], int]:
         products[indices] = value
     if not products:
         raise ValueError("--products must contain at least one entry")
-    return products
+    return max(map(max, products)), products, None
 
 
 def _keyed(products, j: int) -> dict[str, int]:
@@ -307,15 +341,14 @@ def _cmd_presym(args):
 
 def _cmd_reconstruct(args):
     d, j = args.d, args.j
-    raw = _parse_products(args.products)
-    ell = max(map(max, raw))
+    ell, raw, echo = _parse_products(args.products, j)
     products = SubsetProductMap(ell, j, raw)
     mu = reconstruct_exponents(products, d)
     record = {
         "inputs": {
             "d": d,
             "j": j,
-            "products": _keyed(raw, j),
+            "products": echo or _keyed(raw, j),
         },
         "result": {"parts": list(mu.parts)},
         "metadata": {

@@ -72,7 +72,10 @@ def build_c_matrix(n: int, j: int) -> tuple[tuple[int, ...], ...]:
 def det_exact(rows: tuple[tuple[int, ...], ...]) -> int:
     """Exact determinant of an integer matrix given as a tuple of rows, by
     row-wise fraction-free (Bareiss) elimination with row pivoting: each
-    step rebuilds every row below the pivot in one pass."""
+    step rebuilds, in one pass, the columns right of the pivot in every row
+    below it.  Those rows drop their entry in the pivot's column, which the
+    elimination makes zero and never reads again, so after step col every
+    row below it starts at column col + 1."""
     n = len(rows)
     if not n or any(len(row) != n for row in rows):
         raise ValueError("determinant needs a non-empty square matrix")
@@ -80,24 +83,27 @@ def det_exact(rows: tuple[tuple[int, ...], ...]) -> int:
     sign = 1
     prev = 1
     for col in range(n - 1):
-        pivot = next((i for i in range(col, n) if a[i][col]), None)
+        pivot = next((i for i in range(col, n) if a[i][0]), None)
         if pivot is None:
             return 0
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             sign = -sign
         top = a[col]
-        p = top[col]
+        p = top[0]
+        tail = top[1:]
         # Each entry is a minor of the input, so every division is exact.
         for i in range(col + 1, n):
             row = a[i]
-            f = row[col]
+            f = row[0]
             if f:
-                a[i] = [(x * p - f * y) // prev for x, y in zip(row, top)]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(row[1:], tail)]
             elif p != prev:
-                a[i] = [x * p // prev for x in row]
+                a[i] = [x * p // prev for x in row[1:]]
+            else:
+                del row[0]
         prev = p
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][0]
 
 
 CirculantRow = namedtuple("CirculantRow", "n j det expected ok")

@@ -4,19 +4,28 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import partwaves
 from partwaves import cli
 from partwaves.cli import main
-from partwaves.partitions import PartsList, denumerant_dp
+from partwaves.partitions import PartsList, SubsetProductMap, denumerant_dp
 from partwaves.quasipoly import denumerant_formula
-from partwaves.reconstruct import circulant_det_check
+from partwaves.reconstruct import (
+    InconsistentData,
+    circulant_det_check,
+    reconstruct_exponents,
+)
 from partwaves.waves import LITERAL, TWISTED, wave_decomposition_check
 
 CLI_DIFF = Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py"
@@ -275,6 +284,152 @@ def test_reconstruct_repeated_index_tuple_exit_2(capsys):
     assert rc == 2
     assert out == ""
     assert "repeats index tuple 1,2" in err
+
+
+def _main_io(argv):
+    """Exit code, stdout and stderr of one `main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _chunks(ell, j, values):
+    """The canonical 'i1,...,ij:value' chunks of a product map, in
+    combinations order."""
+    return [f"{','.join(map(str, tup))}:{value}"
+            for tup, value in zip(combinations(range(1, ell + 1), j), values)]
+
+
+def _perturb(kind, chunks, j, draw):
+    """Canonical chunks, and j, spoiled by one perturbation of the given kind."""
+    chunks = list(chunks)
+    i = draw(st.integers(0, len(chunks) - 1))
+    head, _, value = chunks[i].partition(":")
+    if kind == "space in a head":
+        at = draw(st.integers(0, len(head)))
+        chunks[i] = f"{head[:at]} {head[at:]}:{value}"
+    elif kind == "leading zero":
+        indices = head.split(",")
+        k = draw(st.integers(0, len(indices) - 1))
+        indices[k] = "0" + indices[k]
+        chunks[i] = f"{','.join(indices)}:{value}"
+    elif kind == "two chunks swapped":
+        k = draw(st.integers(0, len(chunks) - 2))
+        k += k >= i
+        chunks[i], chunks[k] = chunks[k], chunks[i]
+    elif kind == "one chunk dropped":
+        del chunks[i]
+    elif kind == "one chunk duplicated":
+        chunks.insert(draw(st.integers(0, len(chunks))), chunks[i])
+    elif kind == "trailing semicolon":
+        chunks.append("")
+    elif kind == "non-numeric value":
+        chunks[i] = f"{head}:nine"
+    elif kind == "separators swapped":  # the same tokens, ';' before ':'
+        k = min(i, len(chunks) - 2)
+        head, _, value = chunks[k].partition(":")
+        chunks[k : k + 2] = [f"{head};{value}:{chunks[k + 1]}"]
+    elif kind == "extra colon":
+        at = draw(st.integers(0, len(chunks[i])))
+        chunks[i] = f"{chunks[i][:at]}:{chunks[i][at:]}"
+    else:  # "--j off by one"
+        j += draw(st.sampled_from((-1, 1)))
+    return ";".join(chunks), j
+
+
+class _ChunkRoute(Exception):
+    pass
+
+
+def _canonical_route(text, j):
+    """Whether `_parse_products` reads the text without `_parse_chunks`."""
+    def refuse(text):
+        raise _ChunkRoute
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parse_chunks", refuse)
+        try:
+            cli._parse_products(text, j)
+        except _ChunkRoute:
+            return False
+    return True
+
+
+PERTURBATIONS = ("space in a head", "leading zero", "two chunks swapped",
+                 "one chunk dropped", "one chunk duplicated", "trailing semicolon",
+                 "non-numeric value", "separators swapped", "extra colon",
+                 "--j off by one")
+
+
+@settings(deadline=None)
+@given(data=st.data(), ell=st.integers(2, 12), d=st.integers(2, 4),
+       fmt=st.sampled_from(("text", "json", "csv")),
+       kind=st.sampled_from(PERTURBATIONS))
+def test_canonical_products_parse_as_chunk_by_chunk(data, ell, d, fmt, kind):
+    j = data.draw(st.integers(1, ell - 1))
+    count = math.comb(ell, j)
+    # The products of a d-ary partition, or any positive values.
+    if data.draw(st.booleans()):
+        exponents = sorted(data.draw(st.lists(st.integers(0, 6), min_size=ell,
+                                              max_size=ell)), reverse=True)
+        values = [d ** sum(exponents[i - 1] for i in tup)
+                  for tup in combinations(range(1, ell + 1), j)]
+    else:
+        values = data.draw(st.lists(st.integers(1, 10**30), min_size=count,
+                                    max_size=count))
+    chunks = _chunks(ell, j, values)
+    text = ";".join(chunks)
+    assert _canonical_route(text, j)
+    ell_read, raw, echo = cli._parse_products(text, j)
+    chunk_ell, chunk_raw, chunk_echo = cli._parse_chunks(text)
+    assert chunk_echo is None
+    assert ell_read == chunk_ell == ell
+    assert list(raw.items()) == list(chunk_raw.items())
+    assert list(echo.items()) == list(cli._keyed(chunk_raw, j).items())
+
+    spoiled, spoiled_j = _perturb(kind, chunks, j, data.draw)
+    if kind != "one chunk dropped":  # dropping the last chunk of j = 1 is canonical
+        assert not _canonical_route(spoiled, spoiled_j)
+    argvs = [["reconstruct", "--products", products, "--d", str(d), "--j", str(order),
+              "--format", fmt] for products, order in ((text, j), (spoiled, spoiled_j))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parse_products", lambda text, j: cli._parse_chunks(text))
+        chunk_by_chunk = [_main_io(argv) for argv in argvs]
+    assert [_main_io(argv) for argv in argvs] == chunk_by_chunk
+
+
+def test_canonical_route_reads_a_benchmark_sized_map(monkeypatch, capsys):
+    read = []
+    parse_chunks = cli._parse_chunks
+
+    def spy(text):
+        read.append(text)
+        return parse_chunks(text)
+
+    monkeypatch.setattr(cli, "_parse_chunks", spy)
+    rng = random.Random(24)
+    d, ell, j = 5, 40, 3
+    exponents = sorted((rng.randint(0, 12) for _ in range(ell)), reverse=True)
+    values = [d ** sum(exponents[i - 1] for i in tup)
+              for tup in combinations(range(1, ell + 1), j)]
+    chunks = _chunks(ell, j, values)
+    assert len(chunks) == 9880
+    argv = ["reconstruct", "--d", str(d), "--j", str(j), "--products", ";".join(chunks)]
+    rc, record = run_json(capsys, argv)
+    assert rc == 0
+    assert record["metadata"]["exponents"] == exponents
+    assert list(record["inputs"]["products"].items()) == [
+        (chunk.partition(":")[0], value) for chunk, value in zip(chunks, values)]
+    # One product times d: canonical keys, no solution.
+    values[rng.randrange(len(values))] *= d
+    with pytest.raises(InconsistentData) as exc:
+        reconstruct_exponents(SubsetProductMap(
+            ell, j, dict(zip(combinations(range(1, ell + 1), j), values))), d)
+    argv[-1] = ";".join(_chunks(ell, j, values))
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (1, "", f"partwaves: error: {exc.value}\n")
+    assert read == []
 
 
 def test_verify_circulant(capsys):

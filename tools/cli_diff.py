@@ -38,7 +38,10 @@ benchmark's (six parts, n_max = 200) and the largest circulant sweep in
 csv.  For the formula's fold, which stops at n, and the DP's
 running sums it runs, in json, `count` on a six-part list with D = 30030
 at n < D and at n = r*D - 1, r*D and r*D + 1, and `dary-count` at n = d**k
-and n = d**(k+1) - 1 for d = 2, k = 13 and d = 3, k = 8.
+and n = d**(k+1) - 1 for d = 2, k = 13 and d = 3, k = 8.  For the
+canonical `--products` text, read in one pass, it runs the full j = 3 map
+with a last value 'nine', a first head '01,2,3', a trailing ';', `--j 2`, a
+last value ' 1_024' and a last value 0, each plain and in json.
 
 Exit code 0 when every argv agrees, 1 when any differs, 2 on bad usage.
 """
@@ -68,6 +71,20 @@ def _full_products(ell: int, j: int, d: int) -> str:
         f"{','.join(map(str, tup))}:{d ** sum(exponents[i - 1] for i in tup)}"
         for tup in itertools.combinations(range(1, ell + 1), j)
     )
+
+
+def _canonical_edges() -> list[tuple[str, int]]:
+    """(products, j) just off the canonical text of a full j = 3 map."""
+    full = _full_products(40, 3, 2)
+    head, sep, _ = full.rpartition(":")
+    return [
+        (head + sep + "nine", 3),
+        ("0" + full, 3),
+        (full + ";", 3),
+        (full, 2),
+        (head + sep + " 1_024", 3),
+        (head + sep + "0", 3),
+    ]
 
 
 def argv_list() -> list[list[str]]:
@@ -202,6 +219,8 @@ def argv_list() -> list[list[str]]:
         _reconstruct("1,2:27;1,3:9;2,3:3", d=1),
         _reconstruct("1,2:27;1,3:9;2,3:3", j=3),
         _reconstruct("1,2:27;1,3:9;2,3:3", j=0),
+        # just off the canonical text, which is read in one pass
+        *(_reconstruct(products, d=2, j=j) for products, j in _canonical_edges()),
         # large index, order and product
         _reconstruct("1:2;60:1", d=2, j=30),
         _reconstruct("1:2;1000000000:1", d=2, j=1),
