@@ -10,18 +10,25 @@ Output formats: ``text`` (key: value lines), ``json`` (one compact object),
 ``csv`` (one table).  Exit codes: 0 on success, 1 when a verification fails
 or the data is defective (irrational extraction, value not a power of d,
 inconsistent products), 2 for usage errors.
+
+Each command's options are declared once, in `_COMMANDS`.  A well-formed
+argv, `command --flag value ...`, is read from that table directly, without
+importing argparse.  Help, usage errors and every other argv form go to an
+argparse parser built from the same table, so argparse writes every help
+text, usage message and usage exit code.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
 from operator import eq
+from types import SimpleNamespace
 
 from .dary import (
     NotPowerOfD,
@@ -444,148 +451,164 @@ def _cmd_verify(args):
     return record, header, rows, 0 if ok else 1
 
 
-def _count_arguments(p):
-    p.add_argument("--parts", required=True,
-                   help="comma-separated distinct positive parts, e.g. 1,3")
-    p.add_argument("--n", type=int, required=True)
-    return _cmd_count
+# One option of a command: its flag and argparse's type (int or str),
+# required, choices, default and help.
+_Option = namedtuple("_Option", "flag type required choices default help",
+                     defaults=(str, False, None, None, None))
+
+# Every command takes --format and --seed, and the wave commands --variant
+# between them, ahead of their own options, in the order --help lists them.
+_FORMAT = _Option("--format", choices=("text", "json", "csv"), default="text",
+                  help="output format (default: %(default)s)")
+_VARIANT = _Option("--variant", choices=(LITERAL, TWISTED), default=DEFAULT_VARIANT,
+                   help="wave weighting variant (default: %(default)s)")
+_SEED = _Option("--seed", int, help="rejected if given; every command is deterministic")
+_PARTS = "comma-separated distinct positive parts"
+
+# Each command by name: its help line, its handler and its options.
+_COMMANDS = {
+    "count": ("count partitions of n with parts from a fixed list", _cmd_count, (
+        _FORMAT, _SEED,
+        _Option("--parts", required=True, help=_PARTS + ", e.g. 1,3"),
+        _Option("--n", int, True),
+    )),
+    "dary-count": ("count partitions of n into powers of d", _cmd_dary_count, (
+        _FORMAT, _SEED, _Option("--d", int, True), _Option("--n", int, True),
+    )),
+    "poly-part": ("polynomial part of the counting function, by two routes",
+                  _cmd_poly_part, (
+        _FORMAT, _SEED,
+        _Option("--parts", help=_PARTS),
+        _Option("--d", int, help="base (with --k)"),
+        _Option("--k", int, help="largest exponent of the window"),
+        _Option("--at", int, help="also evaluate the polynomial at this n"),
+    )),
+    "waves": ("wave values at n for every divisor of some part", _cmd_waves, (
+        _FORMAT, _VARIANT, _SEED,
+        _Option("--parts", help=_PARTS),
+        _Option("--d", int, help="base; window taken at floor(log_d n)"),
+        _Option("--n", int, True),
+    )),
+    "presym": ("elementary symmetric partition of order j", _cmd_presym, (
+        _FORMAT, _SEED,
+        _Option("--partition", required=True,
+                help="comma-separated non-increasing positive parts"),
+        _Option("--j", int, True),
+    )),
+    "reconstruct": ("recover a base-d partition from its positional j-fold products",
+                    _cmd_reconstruct, (
+        _FORMAT, _SEED, _Option("--d", int, True), _Option("--j", int, True),
+        _Option("--products", required=True, help="semicolon-separated entries "
+                "indices:value, e.g. '1,2:27;1,3:9;2,3:3'"),
+    )),
+    "verify": ("bulk verification sweeps", _cmd_verify, (
+        _FORMAT, _VARIANT, _SEED,
+        _Option("--mode", required=True, choices=("uniqueness", "circulant", "waves")),
+        _Option("--d", int, help="base (uniqueness mode)"),
+        _Option("--ell", int, help="partition length (uniqueness mode)"),
+        _Option("--max-exp", int, help="largest exponent (uniqueness mode)"),
+        _Option("--j", int, help="product order (uniqueness mode)"),
+        _Option("--n-max", int, help="sweep bound (circulant and waves modes)"),
+        _Option("--parts", help="comma-separated parts (waves mode)"),
+    )),
+}
+
+_PROG = "partwaves"
 
 
-def _dary_count_arguments(p):
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    return _cmd_dary_count
+def _read_argv(argv):
+    """The namespace argparse would parse from a well-formed `argv`, else None.
 
-
-def _poly_part_arguments(p):
-    p.add_argument("--parts", help="comma-separated distinct positive parts")
-    p.add_argument("--d", type=int, help="base (with --k)")
-    p.add_argument("--k", type=int, help="largest exponent of the window")
-    p.add_argument("--at", type=int,
-                   help="also evaluate the polynomial at this n")
-    return _cmd_poly_part
-
-
-def _waves_arguments(p):
-    p.add_argument("--parts", help="comma-separated distinct positive parts")
-    p.add_argument("--d", type=int, help="base; window taken at floor(log_d n)")
-    p.add_argument("--n", type=int, required=True)
-    return _cmd_waves
-
-
-def _presym_arguments(p):
-    p.add_argument("--partition", required=True,
-                   help="comma-separated non-increasing positive parts")
-    p.add_argument("--j", type=int, required=True)
-    return _cmd_presym
-
-
-def _reconstruct_arguments(p):
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument(
-        "--products",
-        required=True,
-        help="semicolon-separated entries indices:value, e.g. '1,2:27;1,3:9;2,3:3'",
-    )
-    return _cmd_reconstruct
-
-
-def _verify_arguments(p):
-    p.add_argument("--mode", choices=("uniqueness", "circulant", "waves"),
-                   required=True)
-    p.add_argument("--d", type=int, help="base (uniqueness mode)")
-    p.add_argument("--ell", type=int, help="partition length (uniqueness mode)")
-    p.add_argument("--max-exp", type=int,
-                   help="largest exponent (uniqueness mode)")
-    p.add_argument("--j", type=int, help="product order (uniqueness mode)")
-    p.add_argument("--n-max", type=int,
-                   help="sweep bound (circulant and waves modes)")
-    p.add_argument("--parts", help="comma-separated parts (waves mode)")
-    return _cmd_verify
-
-
-# name, help line, whether --variant applies, and the function that adds the
-# command's own arguments and returns its handler.
-_COMMANDS = (
-    ("count", "count partitions of n with parts from a fixed list",
-     False, _count_arguments),
-    ("dary-count", "count partitions of n into powers of d",
-     False, _dary_count_arguments),
-    ("poly-part", "polynomial part of the counting function, by two routes",
-     False, _poly_part_arguments),
-    ("waves", "wave values at n for every divisor of some part",
-     True, _waves_arguments),
-    ("presym", "elementary symmetric partition of order j",
-     False, _presym_arguments),
-    ("reconstruct",
-     "recover a base-d partition from its positional j-fold products",
-     False, _reconstruct_arguments),
-    ("verify", "bulk verification sweeps", True, _verify_arguments),
-)
+    Well-formed is `[command, --flag value, ...]`: each flag exactly one of
+    the command's options and given once, each value not starting with '-',
+    converting with the option's type and lying in its choices, and every
+    required option given.  Anything else (help, '--flag=value',
+    abbreviations, '--', repeats, negative-looking or bad values, unknown
+    flags) is left to argparse, which owns every help text, usage error and
+    exit code.
+    """
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None or len(argv) % 2 == 0:
+        return None
+    _, handler, options = entry
+    by_flag = {option.flag: option for option in options}
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        option = by_flag.get(flag)
+        if option is None or flag in values or text.startswith("-"):
+            return None
+        try:
+            value = option.type(text)
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[flag] = value
+    if any(option.required and option.flag not in values for option in options):
+        return None
+    return SimpleNamespace(command=argv[0], handler=handler, **{
+        option.flag[2:].replace("-", "_"): values.get(option.flag, option.default)
+        for option in options})
 
 
 def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for `argv`: only its subcommand when argv[0] names one.
+    """The argparse parser for an argv `_read_argv` leaves: only its
+    subcommand when argv[0] names one.
 
-    A call runs one command, so building the other six would be wasted.
-    Any other argv (none, --help, an unknown command, an option before the
-    command) gets every subcommand, which its help or error lists.
+    Such a call runs or rejects one command, so building the other six would
+    be wasted.  Any other argv (none, --help, an unknown command, an option
+    before the command) gets every subcommand, which its help or error
+    lists.  Each option is added from `_COMMANDS`, so the direct reader and
+    argparse read one declaration.  argparse is imported only here: its
+    gettext calls import `locale`, which a well-formed call never pays for.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
-        prog="partwaves",
+        prog=_PROG,
         description=(
             "Exact restricted-partition counts, Sylvester wave tables, "
             "and base-d partition tools."
         ),
     )
-    chosen = [entry for entry in _COMMANDS if argv[:1] == [entry[0]]]
+    chosen = [name for name in _COMMANDS if argv[:1] == [name]]
     # With one command registered, the metavar keeps the top-level usage
     # listing all seven.  With all seven it stays unset, so that their errors
     # still name the argument "command".
     sub = parser.add_subparsers(
         dest="command",
         required=True,
-        metavar="{" + ",".join(entry[0] for entry in _COMMANDS) + "}"
-        if chosen else None,
+        metavar="{" + ",".join(_COMMANDS) + "}" if chosen else None,
     )
-    for name, help_line, wave_options, arguments in chosen or _COMMANDS:
+    for name in chosen or _COMMANDS:
+        help_line, handler, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
-        p.add_argument(
-            "--format",
-            choices=("text", "json", "csv"),
-            default="text",
-            help="output format (default: %(default)s)",
-        )
-        # Only the wave commands read --variant; it stays listed before --seed.
-        if wave_options:
-            p.add_argument(
-                "--variant",
-                choices=(LITERAL, TWISTED),
-                default=DEFAULT_VARIANT,
-                help="wave weighting variant (default: %(default)s)",
-            )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="rejected if given; every command is deterministic",
-        )
-        p.set_defaults(handler=arguments(p))
+        for option in options:
+            p.add_argument(option.flag, type=option.type, required=option.required,
+                           choices=option.choices, default=option.default,
+                           help=option.help)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.
+
+    A well-formed argv (see `_read_argv`) is read directly.  Any other argv,
+    such as help or a usage error, is parsed by argparse, built by
+    `_build_parser`.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     if args.seed is not None:
         print(
-            f"{parser.prog}: error: --seed is not supported; "
+            f"{_PROG}: error: --seed is not supported; "
             "every command is deterministic",
             file=sys.stderr,
         )
@@ -593,10 +616,10 @@ def main(argv=None) -> int:
     try:
         record, header, rows, code = args.handler(args)
     except (NotRational, NotDivisor, NotPowerOfD, InconsistentData) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 2
     _emit({"command": args.command, **record}, header, rows, args.format)
     return code

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from partwaves import cli
 from partwaves.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -49,3 +50,15 @@ def test_every_per_layer_name_resolves(monkeypatch):
     names = [metric["name"] for metric in spec["per_layer"]]
     fake = [{"latency_s": 0.01, "rss_kb": 1000, "problem": None, "calls": {}, "self_ns": {}}]
     assert set(run.layer_metrics(names, [fake, fake], [fake])) == set(names)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.BLOCKS))
+def test_every_operation_is_read_without_argparse(name):
+    # The benchmark's argv is well-formed, so each operation skips argparse;
+    # the namespace read is the one argparse parses.
+    ops = workloads.stream(name, 1)
+    for _ in range(200):
+        argv = list(next(ops).argv)
+        args = cli._read_argv(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(cli._build_parser(argv).parse_args(argv))

@@ -624,8 +624,16 @@ def test_one_command_parser_matches_the_full_parser(command):
     assert one.format_usage() == full.format_usage()
     argvs = [argv for argv in cli_diff.argv_list() if argv[:1] == [command]]
     assert argvs
+    # The direct reader either leaves an argv to argparse or reads the
+    # namespace argparse parses, defaults, command and handler included.
+    read = 0
     for argv in argvs:
-        assert _parse(cli._build_parser(argv), argv) == _parse(full, argv), argv
+        parsed = _parse(cli._build_parser(argv), argv)
+        assert parsed == _parse(full, argv), argv
+        if (args := cli._read_argv(argv)) is not None:
+            assert vars(args) == parsed, argv
+            read += 1
+    assert read
 
 
 def test_named_command_builds_one_subparser(monkeypatch, capsys):
@@ -637,11 +645,67 @@ def test_named_command_builds_one_subparser(monkeypatch, capsys):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-    assert main(["waves", "--d", "2", "--n", "100"]) == 0
+    # Well-formed argv is read directly; an argv the reader leaves to
+    # argparse builds the one subparser it names, or all seven.
+    assert run(capsys, ["waves", "--d", "2", "--n", "100"])[0] == 0
+    assert calls == []
+    assert run(capsys, ["waves", "--d", "2", "--n", "100", "--format=json"])[0] == 0
     assert calls == ["waves"]
     calls.clear()
     assert run(capsys, ["--help"])[0] == 0
     assert calls == list(cli_diff.SUBCOMMANDS)
+
+
+def _echo(args):
+    """A handler that prints the namespace it was given."""
+    fields = {key: value for key, value in vars(args).items() if key != "handler"}
+    return {"args": fields}, sorted(fields), [[fields[key] for key in sorted(fields)]], 0
+
+
+def _values(option):
+    """Values for one option: valid ones and what int(), the choices or the
+    reader's '-' rule refuse."""
+    odd = st.sampled_from((" 7", "1_000", "-5", "", "x", "2.5", "--n", "-h"))
+    if option.choices is not None:
+        return st.sampled_from(option.choices) | odd
+    if option.type is int:
+        return st.integers(0, 99).map(str) | odd
+    return st.sampled_from(("1,3", "2,3,5", " 1, 2")) | odd
+
+
+@st.composite
+def _argvs(draw):
+    """A command, its required options and some others with values, and up
+    to two pieces of noise, all in any order."""
+    command = draw(st.sampled_from(cli_diff.SUBCOMMANDS))
+    options = cli._COMMANDS[command][2]
+    pieces = [[option.flag, draw(_values(option))] for option in options
+              if option.required or draw(st.booleans())]
+    option = st.sampled_from(options)
+    noise = st.one_of(
+        option.flatmap(lambda o: _values(o).map(lambda value: [o.flag, value])),
+        option.flatmap(lambda o: _values(o).map(lambda value: [f"{o.flag}={value}"])),
+        option.map(lambda o: [o.flag[:-1], "1"]),
+        st.sampled_from((["--bogus", "1"], ["--"], ["-h"], ["extra"], ["--n"])),
+    )
+    pieces += draw(st.lists(noise, max_size=2))
+    return [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(argv=_argvs())
+def test_reader_agrees_with_argparse(argv):
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == _parse(cli._build_parser(argv), argv)
+    # Handlers that echo their namespace keep any drawn value cheap to run;
+    # the rest of main, its errors and exit codes, runs as it is.
+    with pytest.MonkeyPatch.context() as mp:
+        for name, (help_line, _, options) in list(cli._COMMANDS.items()):
+            mp.setitem(cli._COMMANDS, name, (help_line, _echo, options))
+        direct = _main_io(argv)
+        mp.setattr(cli, "_read_argv", lambda argv: None)
+        assert _main_io(argv) == direct
 
 
 def test_top_level_error_after_a_command_shows_the_full_usage(capsys):

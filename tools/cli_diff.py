@@ -41,7 +41,14 @@ at n < D and at n = r*D - 1, r*D and r*D + 1, and `dary-count` at n = d**k
 and n = d**(k+1) - 1 for d = 2, k = 13 and d = 3, k = 8.  For the
 canonical `--products` text, read in one pass, it runs the full j = 3 map
 with a last value 'nine', a first head '01,2,3', a trailing ';', `--j 2`, a
-last value ' 1_024' and a last value 0, each plain and in json.
+last value ' 1_024' and a last value 0, each plain and in json.  For the
+direct argv reader, which reads only exact, unrepeated flags with values
+that do not start with '-' and leaves every other argv to argparse, it
+runs `count` with `--n=8`, `--n 1 --n 8` (the last wins), `--n ' 8'`,
+`--n 1_000` and `--parts ''`, `verify --mode=waves` and `verify --mode
+circulant --variant literal`, each plain and in json, and plain only
+`--format=json`, `-h` after a complete option list, `--seed x` and a value
+equal to a flag (`--parts --n`).
 
 Exit code 0 when every argv agrees, 1 when any differs, 2 on bad usage.
 """
@@ -273,6 +280,24 @@ def argv_list() -> list[list[str]]:
          "--var", "literal"],
         ["count", "--parts", "1,3", "--n", "8", "--format"],
     ]
+    # Around the direct argv reader: argv it reads (a repeat, values int()
+    # reads with a space or an underscore, an empty --parts, --variant on a
+    # verify mode that ignores it) and argv it leaves to argparse.
+    reader_edges = [
+        ["count", "--parts", "1,3", "--n=8"],
+        ["count", "--parts", "1,3", "--n", "1", "--n", "8"],
+        ["count", "--parts", "1,3", "--n", " 8"],
+        ["count", "--parts", "1,3", "--n", "1_000"],
+        ["count", "--parts", "", "--n", "8"],
+        ["verify", "--mode=waves", "--parts", "1,3", "--n-max", "10"],
+        ["verify", "--mode", "circulant", "--n-max", "6", "--variant", "literal"],
+    ]
+    reader_plain = [
+        ["count", "--parts", "1,3", "--n", "8", "--format=json"],
+        ["count", "--parts", "1,3", "--n", "8", "-h"],
+        ["count", "--parts", "1,3", "--n", "8", "--seed", "x"],
+        ["count", "--parts", "--n", "8"],
+    ]
     # Errors raised by the window and base checks the library shares, and the
     # smallest sweeps and window, each in json.
     edges = [
@@ -318,7 +343,8 @@ def argv_list() -> list[list[str]]:
               for d, k in ((2, 13), (3, 8)) for n in (d**k, d ** (k + 1) - 1)]
     argvs += single_waves + large_windows + gcd_drops + dp_classes
     argvs += failing + [argv + ["--format", "json"] for argv in failing + edges]
-    return argvs + usage + boundary
+    argvs += reader_edges + [argv + ["--format", "json"] for argv in reader_edges]
+    return argvs + usage + boundary + reader_plain
 
 
 # Run in a subprocess with the source tree first on sys.path: read the argv
