@@ -13,9 +13,9 @@ inconsistent products), 2 for usage errors.
 
 Each command's options are declared once, in `_COMMANDS`.  A well-formed
 argv, `command --flag value ...`, is read from that table directly, without
-importing argparse.  Help, usage errors and every other argv form go to an
-argparse parser built from the same table, so argparse writes every help
-text, usage message and usage exit code.
+importing argparse.  Help, usage errors and every other argv form go to one
+argparse parser of all seven commands, built from the same table, so argparse
+writes every help text, usage message and usage exit code.
 """
 
 from __future__ import annotations
@@ -551,16 +551,13 @@ def _read_argv(argv):
         for option in options})
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The argparse parser for an argv `_read_argv` leaves: only its
-    subcommand when argv[0] names one.
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser for an argv `_read_argv` leaves, with all seven
+    subcommands, which its help and usage errors list.
 
-    Such a call runs or rejects one command, so building the other six would
-    be wasted.  Any other argv (none, --help, an unknown command, an option
-    before the command) gets every subcommand, which its help or error
-    lists.  Each option is added from `_COMMANDS`, so the direct reader and
-    argparse read one declaration.  argparse is imported only here: its
-    gettext calls import `locale`, which a well-formed call never pays for.
+    Each option is added from `_COMMANDS`, so the direct reader and argparse
+    read one declaration.  argparse is imported only here: its gettext calls
+    import `locale`, which a well-formed call never pays for.
     """
     import argparse
 
@@ -571,17 +568,8 @@ def _build_parser(argv) -> argparse.ArgumentParser:
             "and base-d partition tools."
         ),
     )
-    chosen = [name for name in _COMMANDS if argv[:1] == [name]]
-    # With one command registered, the metavar keeps the top-level usage
-    # listing all seven.  With all seven it stays unset, so that their errors
-    # still name the argument "command".
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{" + ",".join(_COMMANDS) + "}" if chosen else None,
-    )
-    for name in chosen or _COMMANDS:
-        help_line, handler, options = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, handler, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for option in options:
             p.add_argument(option.flag, type=option.type, required=option.required,
@@ -595,15 +583,15 @@ def main(argv=None) -> int:
     """Run one command; return its exit code.
 
     A well-formed argv (see `_read_argv`) is read directly.  Any other argv,
-    such as help or a usage error, is parsed by argparse, built by
-    `_build_parser`.
+    such as help, a usage error or '--n=8', is parsed by the full argparse
+    parser of `_build_parser`.
     """
     if argv is None:
         argv = sys.argv[1:]
     args = _read_argv(argv)
     if args is None:
         try:
-            args = _build_parser(argv).parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     if args.seed is not None:

@@ -31,6 +31,7 @@ from .waves import (
     NotDivisor,
     _build_wave,
     _check_variant,
+    _denominator,
     polynomial_part_average,
     polynomial_part_bernoulli,
     wave,
@@ -176,7 +177,7 @@ def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
         specs = [(d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k - 1)]
         specs += [(d ** (k - 2) + d ** (k - 1), d * d), (0, d)]
         return Fraction(_build_wave(k + 1, period, j, specs, variant)(n),
-                        period ** (k + 1) * math.factorial(k))
+                        _denominator(k + 1, period))
     return wave(j, _powers_list(d, k), n, variant)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections import deque
 from itertools import accumulate, chain, combinations
 
 __all__ = [
@@ -114,37 +115,39 @@ class SubsetProductMap:
             raise ValueError("length must be positive")
         if not 1 <= order <= length:
             raise ValueError(f"order must lie in 1..{length}, got {order}")
-        # Keys that are tuples of ints with int values are already what the
-        # per-key conversion would make; three C-level passes prove it.
-        if (set(map(type, products)) <= {tuple}
-                and set(map(type, chain.from_iterable(products))) <= {int}
-                and set(map(type, products.values())) <= {int}):
-            cleaned = products
-        else:
-            cleaned = {tuple(map(operator.index, key)): operator.index(value)
-                       for key, value in products.items()}
-        if min(cleaned.values(), default=1) < 1:
+        # One C-level pass converts every index, so a float is refused.
+        deque(map(operator.index, chain.from_iterable(products)), maxlen=0)
+        values = list(map(operator.index, products.values()))
+        if min(values, default=1) < 1:
             raise ValueError("products must be positive")
         count = math.comb(length, order)
         # With the sizes equal, the keys are exactly the valid tuples when
-        # filling them into the combinations, in that order, adds no key.
-        if len(cleaned) == count:
+        # filling them into the combinations, in that order, adds no key; an
+        # equal key, such as (True,) or a namedtuple, leaves the int tuple.
+        ordered = {}
+        if len(products) == count:
             ordered = dict.fromkeys(combinations(range(1, length + 1), order))
-            ordered.update(cleaned)
-            if len(ordered) == count:
-                self.length, self.order, self.products = length, order, ordered
-                return
-        # Otherwise name the first bad key, 0 < key[0] < ... < key[-1] <
-        # length + 1, checked one by one, so a map of the wrong size never
-        # builds C(length, order) tuples.
-        for key in cleaned:
-            bounded = (0, *key, length + 1)
-            if len(key) != order or any(a >= b for a, b in zip(bounded, bounded[1:])):
-                raise ValueError(
-                    f"index tuple {key} is not an increasing {order}-tuple "
-                    f"of 1..{length}"
-                )
-        raise ValueError(f"expected {count} index tuples, got {len(cleaned)}")
+            ordered.update(zip(products, values))
+        if len(ordered) != count:
+            # Convert the keys and name the first bad one, 0 < key[0] < ... <
+            # key[-1] < length + 1, checked one by one, so a map of the wrong
+            # size never builds C(length, order) tuples.  Keys that are all
+            # valid once converted, C(length, order) of them, fill the map.
+            cleaned = {}
+            for key, value in zip(products, values):
+                key = tuple(map(operator.index, key))
+                bounded = (0, *key, length + 1)
+                if len(key) != order or any(a >= b for a, b in zip(bounded, bounded[1:])):
+                    raise ValueError(
+                        f"index tuple {key} is not an increasing {order}-tuple "
+                        f"of 1..{length}"
+                    )
+                cleaned[key] = value
+            if len(cleaned) != count:
+                raise ValueError(f"expected {count} index tuples, got {len(cleaned)}")
+            ordered = {key: cleaned[key]
+                       for key in combinations(range(1, length + 1), order)}
+        self.length, self.order, self.products = length, order, ordered
 
     def items(self):
         return self.products.items()

@@ -61,4 +61,4 @@ def test_every_operation_is_read_without_argparse(name):
         argv = list(next(ops).argv)
         args = cli._read_argv(argv)
         assert args is not None, argv
-        assert vars(args) == vars(cli._build_parser(argv).parse_args(argv))
+        assert vars(args) == vars(cli._build_parser().parse_args(argv))

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from pathlib import Path
 
@@ -613,30 +614,34 @@ def _parse(parser, argv):
 cli_diff = _load_cli_diff()
 
 
+def test_cli_outputs_match_the_digests():
+    # Every argv of tools/cli_diff.py against tests/cli_digests.txt, run in
+    # two subprocesses side by side; an output changed on purpose is
+    # rewritten with `python tools/cli_diff.py --write-digests`.
+    argvs = cli_diff.argv_list()
+    src = str(Path(partwaves.__file__).parents[1])
+    results = [None] * len(argvs)
+    with ThreadPoolExecutor(2) as pool:
+        results[::2], results[1::2] = pool.map(lambda part: cli_diff.run_tree(src, part),
+                                               (argvs[::2], argvs[1::2]))
+    problems = cli_diff.compare_digests(argvs, results, cli_diff.read_digests())
+    assert not problems, "\n".join(problems)
+
+
 @pytest.mark.parametrize("command", cli_diff.SUBCOMMANDS)
-def test_one_command_parser_matches_the_full_parser(command):
-    one = cli._build_parser([command])
-    full = cli._build_parser([])
-    assert list(_subparsers(one).choices) == [command]
-    assert list(_subparsers(full).choices) == list(cli_diff.SUBCOMMANDS)
-    assert (_subparsers(one).choices[command].format_help()
-            == _subparsers(full).choices[command].format_help())
-    assert one.format_usage() == full.format_usage()
-    argvs = [argv for argv in cli_diff.argv_list() if argv[:1] == [command]]
-    assert argvs
+def test_reader_agrees_with_argparse_on_the_listed_argv(command):
     # The direct reader either leaves an argv to argparse or reads the
     # namespace argparse parses, defaults, command and handler included.
-    read = 0
-    for argv in argvs:
-        parsed = _parse(cli._build_parser(argv), argv)
-        assert parsed == _parse(full, argv), argv
-        if (args := cli._read_argv(argv)) is not None:
-            assert vars(args) == parsed, argv
-            read += 1
+    parser = cli._build_parser()
+    assert list(_subparsers(parser).choices) == list(cli_diff.SUBCOMMANDS)
+    read = [argv for argv in cli_diff.argv_list()
+            if argv[:1] == [command] and cli._read_argv(argv) is not None]
     assert read
+    for argv in read:
+        assert vars(cli._read_argv(argv)) == _parse(parser, argv), argv
 
 
-def test_named_command_builds_one_subparser(monkeypatch, capsys):
+def test_only_argv_left_to_argparse_builds_the_subparsers(monkeypatch, capsys):
     calls = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -645,15 +650,33 @@ def test_named_command_builds_one_subparser(monkeypatch, capsys):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-    # Well-formed argv is read directly; an argv the reader leaves to
-    # argparse builds the one subparser it names, or all seven.
+    # Well-formed argv is read directly; any other argv builds all seven.
     assert run(capsys, ["waves", "--d", "2", "--n", "100"])[0] == 0
     assert calls == []
-    assert run(capsys, ["waves", "--d", "2", "--n", "100", "--format=json"])[0] == 0
-    assert calls == ["waves"]
-    calls.clear()
-    assert run(capsys, ["--help"])[0] == 0
-    assert calls == list(cli_diff.SUBCOMMANDS)
+    for argv in (["waves", "--d", "2", "--n", "100", "--format=json"],
+                 ["count", "--parts", "1,3", "--n", "8", "-h"], ["--help"]):
+        assert run(capsys, argv)[0] == 0
+        assert calls == list(cli_diff.SUBCOMMANDS), argv
+        calls.clear()
+
+
+def test_digests_skip_argparse_output_recorded_for_other_pythons():
+    argvs = [["--help"], ["count"], ["count", "--n", "8"]]
+    results = [["usage: a\n", "", 0], ["", "usage: b\n", 2], ["n: 8\n", "", 0]]
+    lines = cli_diff.digests(argvs, results)
+    assert [python for _, python, _ in lines] == [cli_diff.PYTHON] * 2 + ["any"]
+    # The argparse lines as another Python wrote them.
+    expected = {key: {"2.0" if python != "any" else python: fields}
+                for key, python, fields in lines}
+    assert cli_diff.compare_digests(argvs, results, expected) == []
+    results[1] = ["", "partwaves: error: b\n", 2]
+    results[2] = ["n: 9\n", "", 0]
+    assert cli_diff.compare_digests(argvs, results, expected) == [
+        '["count"]: no line for python any',
+        '["count", "--n", "8"]: stdout differ',
+    ]
+    assert cli_diff.compare_digests(argvs[1:], results[1:], expected)[-1].endswith(
+        "names no argv")
 
 
 def _echo(args):
@@ -697,7 +720,7 @@ def _argvs(draw):
 def test_reader_agrees_with_argparse(argv):
     args = cli._read_argv(argv)
     if args is not None:
-        assert vars(args) == _parse(cli._build_parser(argv), argv)
+        assert vars(args) == _parse(cli._build_parser(), argv)
     # Handlers that echo their namespace keep any drawn value cheap to run;
     # the rest of main, its errors and exit codes, runs as it is.
     with pytest.MonkeyPatch.context() as mp:
@@ -712,6 +735,6 @@ def test_top_level_error_after_a_command_shows_the_full_usage(capsys):
     rc, out, err = run(capsys, ["count", "--parts", "1,3", "--n", "8", "extra"])
     assert rc == 2
     assert out == ""
-    usage = cli._build_parser([]).format_usage()
+    usage = cli._build_parser().format_usage()
     assert "{count,dary-count,poly-part,waves,presym,reconstruct,verify}" in usage
     assert err == usage + "partwaves: error: unrecognized arguments: extra\n"

@@ -254,9 +254,8 @@ def test_subset_product_map_validation():
 
 
 def test_subset_product_map_converts_keys_that_are_not_plain_ints():
-    # Tuples of ints with int values skip the per-key conversion; anything
-    # else is still converted, so a float is refused and a bool becomes an
-    # int.
+    # Every index and value is converted, so a float is refused and a bool
+    # becomes an int.
     with pytest.raises(TypeError):
         SubsetProductMap(2, 1, {(1.0,): 4, (2,): 1})
     with pytest.raises(TypeError):
@@ -270,6 +269,21 @@ def test_subset_product_map_converts_keys_that_are_not_plain_ints():
     pair = namedtuple("pair", "i j")
     spm = SubsetProductMap(3, 2, {(1, 2): 6, pair(1, 3): 3, (2, 3): 2})
     assert [type(key) for key, _ in spm.items()] == [tuple] * 3
+
+    # An index with only __index__ hashes unlike its int, so its key misses
+    # the combinations and is converted one by one.
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    spm = SubsetProductMap(3, 2, {(1, 2): 6, (Index(1), Index(3)): 3, (2, 3): 2})
+    assert dict(spm.items()) == {(1, 2): 6, (1, 3): 3, (2, 3): 2}
+    assert {type(i) for key, _ in spm.items() for i in key} == {int}
+    with pytest.raises(ValueError, match=r"index tuple \(3, 1\) is not an increasing"):
+        SubsetProductMap(3, 2, {(1, 2): 6, (Index(3), Index(1)): 3, (2, 3): 2})
 
 
 def test_subset_product_map_items_sorted():

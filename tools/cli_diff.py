@@ -2,6 +2,7 @@
 
 Usage:
     python tools/cli_diff.py PARENT_SRC CHANGE_SRC
+    python tools/cli_diff.py --write-digests [SRC]
 
 Each SRC is a directory holding the `partwaves` package (a checkout's
 `src/`).  To compare the working tree with its last commit, check the
@@ -50,11 +51,21 @@ circulant --variant literal`, each plain and in json, and plain only
 `--format=json`, `-h` after a complete option list, `--seed x` and a value
 equal to a flag (`--parts --n`).
 
+With `--write-digests` the argv lists are run once under SRC (default: the
+checkout's `src/`) and `tests/cli_digests.txt` is rewritten from the results,
+which `tests/test_cli.py` checks the package against.  A line holds
+a digest of the argv, the Python the line holds for, the exit code and
+digests of stdout and stderr.  Output that argparse renders (help and usage
+errors, which start 'usage: ') differs across Python versions, so its lines
+are keyed by the interpreter's minor version, and the lines of other
+versions already in the file are kept; every other line holds for `any`.
+
 Exit code 0 when every argv agrees, 1 when any differs, 2 on bad usage.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -65,6 +76,9 @@ FORMATS = ("text", "json", "csv")
 VARIANTS = ("twisted", "literal")
 SUBCOMMANDS = ("count", "dary-count", "poly-part", "waves", "presym",
                "reconstruct", "verify")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIGESTS = os.path.join(ROOT, "tests", "cli_digests.txt")
+PYTHON = "%d.%d" % sys.version_info[:2]
 
 
 def _reconstruct(products: str, d: int = 3, j: int = 2) -> list[str]:
@@ -264,8 +278,7 @@ def argv_list() -> list[list[str]]:
         ["count", "--parts", "1,3", "--n", "8", "--format", "xml"],
         ["waves", "--parts", "1,3", "--n", "8", "--variant", "other"],
     ]
-    # A call whose argv[0] names a command builds only that subparser; any
-    # other argv builds all seven.  These sit on either side of that choice.
+    # Argv that do or do not begin with a command name, left to argparse.
     boundary = [
         ["count", "--parts", "1,3", "--n", "8", "extra"],
         ["--format", "json", "count", "--parts", "1,3", "--n", "8"],
@@ -381,10 +394,83 @@ def run_tree(src: str, argvs: list[list[str]]) -> list[list]:
     return json.loads(proc.stdout)
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def digests(argvs: list[list[str]], results: list[list]) -> list[tuple]:
+    """(argv digest, python, (exit code, stdout digest, stderr digest)) per
+    argv of one run; argparse's output holds for this Python, all else for
+    `any`."""
+    return [(_digest(json.dumps(argv)),
+             PYTHON if (out + err).startswith("usage: ") else "any",
+             (str(code), _digest(out), _digest(err)))
+            for argv, (out, err, code) in zip(argvs, results)]
+
+
+def read_digests(path: str = DIGESTS) -> dict[str, dict]:
+    """The digests file as {argv digest: {python: fields}}, every Python's
+    lines."""
+    table: dict[str, dict] = {}
+    with open(path) as handle:
+        for line in handle:
+            if line.strip() and not line.startswith("#"):
+                key, python, *fields = line.split()
+                table.setdefault(key, {})[python] = tuple(fields)
+    return table
+
+
+def compare_digests(argvs, results, expected) -> list[str]:
+    """One line per argv whose digests differ from `expected`, naming the
+    fields, and one per line of `expected` that no argv has any more.  An
+    argv whose argparse output is recorded only for other Pythons is
+    skipped."""
+    problems = []
+    run = digests(argvs, results)
+    for argv, (key, python, fields) in zip(argvs, run):
+        rows = expected.get(key, {})
+        shown = json.dumps(argv)
+        shown = shown if len(shown) <= 100 else shown[:97] + "..."
+        if python in rows:
+            differ = [name for name, a, b in zip(("exit code", "stdout", "stderr"),
+                                                 rows[python], fields) if a != b]
+            if differ:
+                problems.append(f"{shown}: {', '.join(differ)} differ")
+        elif python == "any" or not rows or "any" in rows:
+            problems.append(f"{shown}: no line for python {python}")
+    stale = expected.keys() - {key for key, _, _ in run}
+    problems += [f"line {key} names no argv" for key in sorted(stale)]
+    return problems
+
+
+def write_digests(src: str, path: str = DIGESTS) -> int:
+    """Rewrite the digests file from the argv lists run under `src`."""
+    argvs = argv_list()
+    table = {key: {python: fields}
+             for key, python, fields in digests(argvs, run_tree(src, argvs))}
+    if os.path.exists(path):
+        for key, rows in read_digests(path).items():
+            if key in table:
+                for python, fields in rows.items():
+                    if python not in ("any", PYTHON):
+                        table[key].setdefault(python, fields)
+    lines = ["# argv digest, python, exit code, stdout digest, stderr digest;"
+             " written by tools/cli_diff.py --write-digests\n"]
+    lines += [f"{key} {python} {' '.join(fields)}\n"
+              for key, rows in table.items() for python, fields in sorted(rows.items())]
+    with open(path, "w") as handle:
+        handle.writelines(lines)
+    print(f"{len(argvs)} argv written to {path}")
+    return 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if args[:1] == ["--write-digests"] and len(args) <= 2:
+        return write_digests(args[1] if len(args) == 2 else os.path.join(ROOT, "src"))
     if len(args) != 2:
-        print("usage: python tools/cli_diff.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        print("usage: python tools/cli_diff.py PARENT_SRC CHANGE_SRC\n"
+              "       python tools/cli_diff.py --write-digests [SRC]", file=sys.stderr)
         return 2
     argvs = argv_list()
     parent, change = (run_tree(src, argvs) for src in args)
