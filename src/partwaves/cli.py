@@ -2,9 +2,9 @@
 
 Subcommands cover exact restricted-partition counts (closed formula checked
 against a dynamic-programming oracle), base-d partition counts, polynomial
-parts by two independent routes, Sylvester wave tables, elementary symmetric
-partitions, reconstruction of a base-d partition from positional products,
-and bulk verification sweeps.
+parts by two independent routes, Sylvester wave tables (a waves sweep's row
+at one n), elementary symmetric partitions, reconstruction of a base-d
+partition from positional products, and bulk verification sweeps.
 
 Output formats: ``text`` (key: value lines), ``json`` (one compact object),
 ``csv`` (one table).  Exit codes: 0 on success, 1 when a verification fails
@@ -34,10 +34,10 @@ from .dary import (
     NotPowerOfD,
     _powers_list,
     _window_k,
+    _window_specs,
     count_dary,
     poly_part_d_average,
     poly_part_d_bernoulli,
-    wave_d,
 )
 from .exact import NotRational
 from .partitions import (
@@ -62,11 +62,10 @@ from .waves import (
     TWISTED,
     divisor_set,
     NotDivisor,
-    _or_error,
-    _wave_row,
+    _box_specs,
+    _wave_rows,
     polynomial_part_average,
     polynomial_part_bernoulli,
-    wave,
     wave_decomposition_check,
 )
 
@@ -169,9 +168,10 @@ def _parse_products(text: str, j: int):
 
 
 def _parse_chunks(text: str):
-    """`_parse_products` of any text, chunk by chunk; the echo is None, to be
-    formatted once the map is checked."""
+    """`_parse_products` of any text, chunk by chunk; the echo keys each
+    value by its index tuple as the repeat message writes it."""
     products: dict[tuple[int, ...], int] = {}
+    echo: dict[str, int] = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -186,14 +186,13 @@ def _parse_chunks(text: str):
             raise ValueError(
                 f"bad product entry {chunk!r}; expected indices:value like '1,2:27'"
             ) from None
-        if indices in products:
-            raise ValueError(
-                f"--products repeats index tuple {','.join(map(str, indices))}"
-            )
-        products[indices] = value
+        key = ",".join(map(str, indices))
+        if key in echo:
+            raise ValueError(f"--products repeats index tuple {key}")
+        products[indices] = echo[key] = value
     if not products:
         raise ValueError("--products must contain at least one entry")
-    return max(map(max, products)), products, None
+    return max(map(max, products)), products, echo
 
 
 def _keyed(products, j: int) -> dict[str, int]:
@@ -292,27 +291,19 @@ def _cmd_waves(args):
         if n < 0:
             raise ValueError("--n must be non-negative")
         a = PartsList(_parse_int_list(args.parts, "--parts"))
+        specs = _box_specs(a)
         inputs = {"parts": list(a.parts), "n": n}
         extra = {"D": a.D}
-
-        def term(j: int) -> Fraction:
-            return wave(j, a, n, args.variant)
-
     else:
         if args.d is None:
             raise ValueError("need --parts or --d")
         d = args.d
         k = _window_k(d, n)
         a = _powers_list(d, k)
+        specs = _window_specs(d, k, args.variant)
         inputs = {"d": d, "n": n}
         extra = {"k": k, "D": a.D}
-
-        def term(j: int) -> Fraction:
-            return wave_d(j, d, n, args.variant)
-
-    divisors = divisor_set(a)
-    row = _wave_row(n, divisors, [_or_error(term, j) for j in divisors],
-                    denumerant_dp(a, n))
+    (row,) = _wave_rows(a, specs, [n], [denumerant_dp(a, n)], args.variant)
     table = [{"j": t.j, "value": t.value} if t.value is not None
              else {"j": t.j, "value": None, "error": t.error} for t in row.terms]
     record = {
@@ -355,7 +346,7 @@ def _cmd_reconstruct(args):
         "inputs": {
             "d": d,
             "j": j,
-            "products": echo or _keyed(raw, j),
+            "products": echo,
         },
         "result": {"parts": list(mu.parts)},
         "metadata": {

@@ -13,8 +13,8 @@ The same variant switch as in `waves` applies here.  Besides the weighting,
 the literal variant also keeps a defective reading of the window sum in
 which the last summand repeats the next-to-last variable with stride
 d**(k-1) and the final variable never enters the sum (for k >= 2); it is
-retained for audit only, as its own list of (stride, count) box specs from
-which `waves._build_wave` builds the wave, as it does every other wave."""
+retained for audit only.  `_window_specs` gives that defective list of
+(stride, count) box specs, or else the plain box, to `waves._build_wave`."""
 
 from __future__ import annotations
 
@@ -29,12 +29,12 @@ from .waves import (
     DEFAULT_VARIANT,
     LITERAL,
     NotDivisor,
+    _box_specs,
     _build_wave,
     _check_variant,
     _denominator,
     polynomial_part_average,
     polynomial_part_bernoulli,
-    wave,
 )
 
 __all__ = [
@@ -159,8 +159,17 @@ def count_dary(d: int, n: int) -> int:
     return denumerant_formula(_powers_list(d, _window_k(d, n)), n)
 
 
+def _window_specs(d: int, k: int, variant: str) -> list[tuple[int, int]]:
+    """The box specs of window k: the defective window sum of the module
+    docstring for the literal variant at k >= 2, else the plain box."""
+    if variant == LITERAL and k >= 2:
+        specs = [(d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k - 1)]
+        return specs + [(d ** (k - 2) + d ** (k - 1), d * d), (0, d)]
+    return _box_specs(_powers_list(d, k))
+
+
 def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
-    """The j-th Sylvester wave of the d-ary count, via the window formula.
+    """The j-th Sylvester wave of the d-ary count, built from `_window_specs`.
 
     Requires j to divide d**k for the window k of `count_dary`; equals
     `wave(j, (1, d, ..., d**k), n)` under the same variant, except for the
@@ -172,13 +181,8 @@ def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
     period = d**k
     if period % j:
         raise NotDivisor(f"{j} does not divide {d}**{k}")
-    if variant == LITERAL and k >= 2:
-        # The defective window sum of the module docstring, kept for audit.
-        specs = [(d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k - 1)]
-        specs += [(d ** (k - 2) + d ** (k - 1), d * d), (0, d)]
-        return Fraction(_build_wave(k + 1, period, j, specs, variant)(n),
-                        _denominator(k + 1, period))
-    return wave(j, _powers_list(d, k), n, variant)
+    return Fraction(_build_wave(k + 1, period, j, _window_specs(d, k, variant),
+                                variant)(n), _denominator(k + 1, period))
 
 
 def poly_part_d_average(d: int, k: int) -> RationalPolynomial:

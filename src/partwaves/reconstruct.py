@@ -138,13 +138,11 @@ def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
         raise ValueError(f"reconstruction needs order in 1..{ell - 1}, got {j}")
     # One exponent_of_power per distinct value, in item order, so that
     # NotPowerOfD names the first bad product.
+    values = products.products
     exponent_of = {
-        value: exponent_of_power(value, d)
-        for value in dict.fromkeys(products.products.values())
+        value: exponent_of_power(value, d) for value in dict.fromkeys(values.values())
     }
-    logs = dict(zip(products.products,
-                    map(exponent_of.__getitem__, products.products.values())))
-    rows = [logs[t] for t in _subsystem_tuples(ell, j)]
+    rows = [exponent_of[values[t]] for t in _subsystem_tuples(ell, j)]
     # rows[0] is S - e_{j+1} and rows[t] is S - e_t for t = 1..j.
     head = sum(rows[: j + 1])
     total, rem = divmod(head, j)
@@ -162,8 +160,9 @@ def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
         if a < b:
             raise InconsistentData(f"solved exponents increase: {exponents}")
     # The map is in combinations order, so its j-fold sums line up with it.
-    violated = next(compress(logs, map(ne, logs.values(),
-                                        map(sum, combinations(exponents, j)))), None)
+    violated = next(compress(values, map(
+        ne, map(exponent_of.__getitem__, values.values()),
+        map(sum, combinations(exponents, j)))), None)
     if violated is not None:
         raise InconsistentData(f"product equation violated at indices {violated}")
     return DAryPartition(d, tuple(exponents))

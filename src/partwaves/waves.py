@@ -148,6 +148,11 @@ def _residue_moments(specs, j: int, t_max: int):
 # polynomial part
 
 
+def _box_specs(a: PartsList) -> list[tuple[int, int]]:
+    """The (stride, count) specs of the box of `a`: each part p, D/p times."""
+    return [(p, a.D // p) for p in a.parts]
+
+
 def _denominator(r: int, D: int) -> int:
     return D**r * math.factorial(r - 1)
 
@@ -168,7 +173,7 @@ def polynomial_part_average(a: PartsList) -> RationalPolynomial:
     """Polynomial part of the restricted count via the box-average route:
     the congruence-free sum over all residue tuples, expanded exactly."""
     r = len(a.parts)
-    moments = _residue_moments([(p, a.D // p) for p in a.parts], 1, r - 1)(0)
+    moments = _residue_moments(_box_specs(a), 1, r - 1)(0)
     return RationalPolynomial([Fraction(c, _denominator(r, a.D))
                                for c in _poly_numerators(r, a.D, moments)])
 
@@ -257,8 +262,8 @@ def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fracti
     if all(p % j for p in a.parts):
         raise NotDivisor(f"{j} divides no entry of {a.parts}")
     r = len(a.parts)
-    specs = [(p, a.D // p) for p in a.parts]
-    return Fraction(_build_wave(r, a.D, j, specs, variant)(n), _denominator(r, a.D))
+    return Fraction(_build_wave(r, a.D, j, _box_specs(a), variant)(n),
+                    _denominator(r, a.D))
 
 
 # A term's value is None when its extraction failed; error then says why.
@@ -276,11 +281,11 @@ def _or_error(at, x):
         return exc
 
 
-def _wave_row(n: int, divisors, nums, expected: int, den: int = 1) -> WaveCheckRow:
-    """The row at n of the waves over `divisors`, from their values `nums`
-    as numerators over den (at den = 1 the values), checked against
-    `expected`.  A NotRational in place of a numerator is an irrational
-    extraction: its term fails, and so does the row, with no total.
+def _wave_row(n: int, divisors, nums, expected: int, den: int) -> WaveCheckRow:
+    """The row at n of the waves over `divisors`, from their numerators
+    `nums` over den, checked against `expected`.  A NotRational in place of
+    a numerator is an irrational extraction: its term fails, and so does the
+    row, with no total.
 
     The check is the integer comparison sum(nums) == expected * den; the
     row's total is one Fraction of that sum, and every ok row shares one
@@ -298,26 +303,26 @@ def _wave_row(n: int, divisors, nums, expected: int, den: int = 1) -> WaveCheckR
     return WaveCheckRow(n, terms, total, expected, total - expected, False)
 
 
+def _wave_rows(a: PartsList, specs, ns, expected, variant: str):
+    """The rows at `ns` of the waves built once from the box `specs`, each
+    wave a column over `ns` that keeps any NotRational, checked by `_wave_row`."""
+    divisors = divisor_set(a)
+    r = len(a.parts)
+    built = [_build_wave(r, a.D, j, specs, variant) for j in divisors]
+    columns = [[_or_error(at, n) for n in ns] for at in built]
+    return tuple(map(_wave_row, ns, repeat(divisors), zip(*columns), expected,
+                     repeat(_denominator(r, a.D))))
+
+
 def wave_decomposition_check(
     a: PartsList, n_max: int, variant: str = DEFAULT_VARIANT
 ) -> tuple[WaveCheckRow, ...]:
     """Check sum of waves, each built once, against the DP oracle for all
     n <= n_max: one row per n, ascending, its terms in ascending j over
-    `divisor_set(a)`, summed as integer numerators.  Failures (including
-    irrational extractions) are data in the rows, never exceptions.
-
-    Each built wave is evaluated once as a column over n = 0..n_max, an
-    irrational extraction (literal variant) leaving its NotRational in the
-    column, and the columns are zipped into the rows' numerators."""
+    `divisor_set(a)`, summed as integer numerators by `_wave_rows`, as the
+    `waves` command's row is.  Failures are data in the rows, never raised."""
     _check_variant(variant)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    divisors = divisor_set(a)
-    r = len(a.parts)
-    specs = [(p, a.D // p) for p in a.parts]
-    built = [_build_wave(r, a.D, j, specs, variant) for j in divisors]
-    ns = range(n_max + 1)
-    columns = [[_or_error(at, n) for n in ns] for at in built]
-    expected, den = denumerant_series(a, n_max), _denominator(r, a.D)
-    return tuple(map(_wave_row, ns, repeat(divisors), zip(*columns), expected,
-                     repeat(den)))
+    return _wave_rows(a, _box_specs(a), range(n_max + 1),
+                      denumerant_series(a, n_max), variant)

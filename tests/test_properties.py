@@ -1,5 +1,8 @@
 """Property-based checks over random inputs, next to the golden tables."""
 
+import contextlib
+import io
+import json
 import math
 import operator
 from fractions import Fraction
@@ -9,7 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from partwaves.dary import DAryPartition, poly_part_d_average, poly_part_d_bernoulli
+from partwaves.cli import main
+from partwaves.dary import (
+    DAryPartition,
+    _powers_list,
+    _window_k,
+    poly_part_d_average,
+    poly_part_d_bernoulli,
+    wave_d,
+)
 from partwaves.exact import NotRational
 from partwaves.partitions import (
     Partition,
@@ -110,17 +121,35 @@ def test_count_is_period_D_quasipolynomial(parts):
         ) == 0
 
 
-def _wave_or_error(j, a, n, variant):
+def _value_or_error(wave_at, *args):
     try:
-        return wave(j, a, n, variant)
+        return wave_at(*args)
     except NotRational as exc:
         return str(exc)
 
 
+def _waves_json(*argv):
+    """Exit code and json record of one `waves` command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["waves", *map(str, argv), "--format", "json"])
+    return code, json.loads(out.getvalue())
+
+
+def _table_terms(record):
+    """(j, value or error) of each term of a `waves` json record."""
+    return [(t["j"], t["error"] if t["value"] is None else Fraction(t["value"]))
+            for t in record["result"]]
+
+
 @settings(deadline=None)
 @given(parts=parts_lists, n_max=st.integers(0, 30),
-       variant=st.sampled_from((TWISTED, LITERAL)))
-def test_sweep_terms_are_single_waves(parts, n_max, variant):
+       variant=st.sampled_from((TWISTED, LITERAL)), d=st.integers(2, 5))
+# The literal --d windows at k = 0, 1 and 2; k = 2 is the first defective one.
+@example(parts=[1, 3], n_max=1, variant=LITERAL, d=2)
+@example(parts=[1, 3], n_max=8, variant=LITERAL, d=3)
+@example(parts=[1, 3], n_max=9, variant=LITERAL, d=3)
+def test_sweep_terms_are_single_waves(parts, n_max, variant, d):
     a = PartsList(parts)
     rows = wave_decomposition_check(a, n_max, variant)
     assert [row.n for row in rows] == list(range(n_max + 1))
@@ -129,7 +158,25 @@ def test_sweep_terms_are_single_waves(parts, n_max, variant):
         assert [term.j for term in row.terms] == list(divisor_set(a))
         for term in row.terms:
             got = term.value if term.value is not None else term.error
-            assert got == _wave_or_error(term.j, a, row.n, variant)
+            assert got == _value_or_error(wave, term.j, a, row.n, variant)
+    # The waves table at n_max is the sweep's last row, and at --d its terms
+    # are the single waves of the window.
+    code, record = _waves_json("--parts", ",".join(map(str, parts)), "--n", n_max,
+                               "--variant", variant)
+    row = rows[-1]
+    assert _table_terms(record) == [
+        (t.j, t.error if t.value is None else t.value) for t in row.terms]
+    total = record["metadata"]["sum"]
+    assert (total if total is None else Fraction(total)) == row.total
+    assert record["metadata"]["oracle"] == row.expected
+    assert (code, record["agreement"]) == (0 if row.ok else 1, row.ok)
+    code, record = _waves_json("--d", d, "--n", n_max, "--variant", variant)
+    window = _powers_list(d, _window_k(d, n_max))
+    terms = [(j, _value_or_error(wave_d, j, d, n_max, variant))
+             for j in divisor_set(window)]
+    assert _table_terms(record) == terms
+    assert code == (0 if all(isinstance(v, Fraction) for _, v in terms)
+                    and sum(v for _, v in terms) == denumerant_dp(window, n_max) else 1)
 
 
 @settings(deadline=None)

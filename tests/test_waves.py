@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import math
 import pkgutil
 from collections import Counter
@@ -445,6 +447,7 @@ def small_parts_lists(draw):
 @given(a=small_parts_lists(), n_max=st.integers(0, 24), data=st.data())
 def test_integer_sums_catch_a_moved_unit(a, n_max, data):
     import partwaves.waves as waves
+    from partwaves.cli import main
 
     rows = wave_decomposition_check(a, n_max)
     for row in rows:
@@ -465,6 +468,10 @@ def test_integer_sums_catch_a_moved_unit(a, n_max, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(waves, "_build_wave", shifted)
         moved = wave_decomposition_check(a, n_max)
+        # the waves command checks its row by the same integer sums
+        argv = ["waves", "--parts", ",".join(map(str, a.parts)), "--n", str(shifted_n)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 1
     r = len(a.parts)
     for row in moved:
         if row.n == shifted_n:

@@ -49,7 +49,10 @@ runs `count` with `--n=8`, `--n 1 --n 8` (the last wins), `--n ' 8'`,
 `--n 1_000` and `--parts ''`, `verify --mode=waves` and `verify --mode
 circulant --variant literal`, each plain and in json, and plain only
 `--format=json`, `-h` after a complete option list, `--seed x` and a value
-equal to a flag (`--parts --n`).
+equal to a flag (`--parts --n`).  For the `--d` table, whose wave specs come
+from the window, it runs the base and n errors (`--d 1 --n 5`, `--d 2 --n
+-1`) and the literal window at k = 0, 1 and 2 (k = 2 is the first defective
+window), each in all three formats.
 
 With `--write-digests` the argv lists are run once under SRC (default: the
 checkout's `src/`) and `tests/cli_digests.txt` is rewritten from the results,
@@ -214,6 +217,14 @@ def argv_list() -> list[list[str]]:
         ["verify", "--mode", "waves", "--parts", "3,5,7", "--n-max", "30",
          "--variant", "literal"],
     ]
+    # The --d table: its base and n errors, and the literal window at k = 0,
+    # 1 and 2, the first defective window.
+    dary_route = [
+        ["waves", "--d", "1", "--n", "5"],
+        ["waves", "--d", "2", "--n", "-1"],
+        *(["waves", "--d", d, "--n", n, "--variant", "literal"]
+          for d, n in (("2", "1"), ("3", "8"), ("3", "9"))),
+    ]
     failing = [
         # not a power of d
         _reconstruct("1,2:27;1,3:9;2,3:3", d=2),
@@ -325,7 +336,7 @@ def argv_list() -> list[list[str]]:
         ["waves", "--d", "2", "--n", "0"],
     ]
     argvs = [argv + ["--format", fmt]
-             for argv in formatted + folded_scale + literal_orders
+             for argv in formatted + folded_scale + literal_orders + dary_route
              for fmt in FORMATS]
     argvs += [
         argv + ["--variant", variant, "--format", fmt]
