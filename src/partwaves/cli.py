@@ -60,7 +60,6 @@ from .waves import (
     DEFAULT_VARIANT,
     LITERAL,
     TWISTED,
-    divisor_set,
     NotDivisor,
     _box_specs,
     _wave_rows,
@@ -364,6 +363,9 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_verify(args):
+    """Each mode gives its inputs, result, metadata and table; the circulant
+    and waves sweeps, checked row by row, also name the fields of a failed
+    row.  The report, its `ok` and the exit code are built once, below."""
     mode = args.mode
     if mode == "uniqueness":
         for name in ("d", "ell", "max_exp", "j"):
@@ -371,49 +373,25 @@ def _cmd_verify(args):
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"--mode uniqueness requires {flag}")
         report = verify_uniqueness(args.d, args.ell, args.max_exp, args.j)
-        ok = not report.violations
-        record = {
-            "inputs": {
-                "mode": mode,
-                "d": args.d,
-                "ell": args.ell,
-                "max_exp": args.max_exp,
-                "j": args.j,
-            },
-            "result": {
-                "ok": ok,
-                "vectors_checked": report.vectors_checked,
-                "violations": len(report.violations),
-            },
-            "metadata": {
-                "multiset_only": len(report.multiset_only),
-                "multiset_examples": [
-                    {"first": list(a), "second": list(b)}
-                    for a, b in report.multiset_only[:5]
-                ],
-            },
+        inputs = {"mode": mode, "d": args.d, "ell": args.ell,
+                  "max_exp": args.max_exp, "j": args.j}
+        failures = report.violations
+        result = {"vectors_checked": report.vectors_checked,
+                  "violations": len(failures)}
+        metadata = {
+            "multiset_only": len(report.multiset_only),
+            "multiset_examples": [
+                {"first": list(a), "second": list(b)}
+                for a, b in report.multiset_only[:5]
+            ],
         }
-        header = ["mode", "d", "ell", "max_exp", "j",
-                  "vectors_checked", "violations", "ok"]
-        rows = [[mode, args.d, args.ell, args.max_exp, args.j,
-                 report.vectors_checked, len(report.violations), _scalar(ok)]]
     elif mode == "circulant":
         if args.n_max is None:
             raise ValueError("--mode circulant requires --n-max")
         checked = circulant_det_check(args.n_max)
-        failures = [row for row in checked if not row.ok]
-        ok = not failures
-        record = {
-            "inputs": {"mode": mode, "n_max": args.n_max},
-            "result": {"ok": ok, "checked": len(checked)},
-            "metadata": {
-                "failures": [
-                    {"n": row.n, "j": row.j, "det": row.det,
-                     "expected": row.expected}
-                    for row in failures
-                ],
-            },
-        }
+        inputs = {"mode": mode, "n_max": args.n_max}
+        metadata = {}
+        failed = ("n", "j", "det", "expected")
         header = ["n", "j", "det", "expected", "ok"]
         rows = [[row.n, row.j, row.det, row.expected, _scalar(row.ok)]
                 for row in checked]
@@ -422,23 +400,22 @@ def _cmd_verify(args):
             raise ValueError("--mode waves requires --parts and --n-max")
         a = PartsList(_parse_int_list(args.parts, "--parts"))
         checked = wave_decomposition_check(a, args.n_max, args.variant)
-        failures = [row for row in checked if not row.ok]
-        ok = not failures
-        record = {
-            "inputs": {"mode": mode, "parts": list(a.parts), "n_max": args.n_max},
-            "result": {"ok": ok, "checked": len(checked)},
-            "metadata": {
-                "variant": args.variant,
-                "divisors": list(divisor_set(a)),
-                "failures": [
-                    {"n": row.n, "total": row.total, "expected": row.expected,
-                     "residual": row.residual}
-                    for row in failures
-                ],
-            },
-        }
+        inputs = {"mode": mode, "parts": list(a.parts), "n_max": args.n_max}
+        metadata = {"variant": args.variant,
+                    "divisors": [t.j for t in checked[0].terms]}
+        failed = ("n", "total", "expected", "residual")
         header = ["n", "j", "value", "total", "expected", "ok"]
         rows = _term_rows(checked)
+    if mode != "uniqueness":
+        failures = [{key: getattr(row, key) for key in failed}
+                    for row in checked if not row.ok]
+        result = {"checked": len(checked)}
+        metadata["failures"] = failures
+    ok = not failures
+    if mode == "uniqueness":  # one csv row: the inputs, then the result
+        header = [*inputs, *result, "ok"]
+        rows = [[*inputs.values(), *result.values(), _scalar(ok)]]
+    record = {"inputs": inputs, "result": {"ok": ok, **result}, "metadata": metadata}
     return record, header, rows, 0 if ok else 1
 
 
@@ -575,7 +552,9 @@ def main(argv=None) -> int:
 
     A well-formed argv (see `_read_argv`) is read directly.  Any other argv,
     such as help, a usage error or '--n=8', is parsed by the full argparse
-    parser of `_build_parser`.
+    parser of `_build_parser`.  A value with more digits than Python's
+    int-to-str limit allows exits 2, as a usage error does, with the limit's
+    message; only csv may have written the first lines of its table.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -594,13 +573,13 @@ def main(argv=None) -> int:
         return 2
     try:
         record, header, rows, code = args.handler(args)
+        _emit({"command": args.command, **record}, header, rows, args.format)
     except (NotRational, NotDivisor, NotPowerOfD, InconsistentData) as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 2
-    _emit({"command": args.command, **record}, header, rows, args.format)
     return code
 
 

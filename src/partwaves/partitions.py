@@ -258,7 +258,6 @@ def positional_products(lam: Partition, j: int) -> SubsetProductMap:
     """Position-indexed j-fold products of `lam` (1-based index tuples)."""
     if not 1 <= j <= lam.length:
         raise ValueError(f"j must lie in 1..{lam.length}, got {j}")
-    prods = {}
-    for idxs in combinations(range(1, lam.length + 1), j):
-        prods[idxs] = math.prod(lam.parts[i - 1] for i in idxs)
+    prods = dict(zip(combinations(range(1, lam.length + 1), j),
+                     map(math.prod, combinations(lam.parts, j))))
     return SubsetProductMap(lam.length, j, prods)

@@ -57,8 +57,9 @@ def test_every_operation_is_read_without_argparse(name):
     # The benchmark's argv is well-formed, so each operation skips argparse;
     # the namespace read is the one argparse parses.
     ops = workloads.stream(name, 1)
+    parser = cli._build_parser()
     for _ in range(200):
         argv = list(next(ops).argv)
         args = cli._read_argv(argv)
         assert args is not None, argv
-        assert vars(args) == vars(cli._build_parser().parse_args(argv))
+        assert vars(args) == vars(parser.parse_args(argv))

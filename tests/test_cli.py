@@ -23,7 +23,9 @@ from partwaves.cli import main
 from partwaves.partitions import PartsList, SubsetProductMap, denumerant_dp
 from partwaves.quasipoly import denumerant_formula
 from partwaves.reconstruct import (
+    CirculantRow,
     InconsistentData,
+    UniquenessReport,
     circulant_det_check,
     reconstruct_exponents,
 )
@@ -233,6 +235,27 @@ def test_presym_text_lists_products(capsys):
     assert rc == 0
     assert "result.parts: 6,3,3,2,2,1\n" in out
     assert "metadata.products.1,2: 6\n" in out
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_values_past_the_digit_limit_exit_2(capsys):
+    # Each part is within the limit, their product is not, so the parse
+    # passes and the output is what hits the limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        nines = "9" * 400
+        outputs = {fmt: run(capsys, ["presym", "--partition", f"{nines},{nines}",
+                                     "--j", "2", "--format", fmt])
+                   for fmt in ("text", "json", "csv")}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for fmt, (rc, out, err) in outputs.items():
+        assert rc == 2, fmt
+        assert out == ("indices,product\n" if fmt == "csv" else ""), fmt
+        assert err.startswith("partwaves: error: Exceeds the limit (640 digits)"), fmt
+        assert err.count("\n") == 1, fmt
 
 
 def test_reconstruct_golden(capsys):
@@ -469,6 +492,38 @@ def test_verify_waves_literal_fails(capsys):
     record = json.loads(out)
     assert record["result"]["ok"] is False
     assert len(record["metadata"]["failures"]) == 11
+
+
+def _verify_outputs(capsys, argv):
+    """Exit code and output of `verify` in json and in csv."""
+    return [run(capsys, ["verify", *argv, "--format", fmt]) for fmt in ("json", "csv")]
+
+
+def test_verify_circulant_failure_record(monkeypatch, capsys):
+    # No circulant determinant misses its j, so a failed row is made up here.
+    rows = (CirculantRow(2, 1, 1, 1, True), CirculantRow(2, 2, 3, 2, False))
+    monkeypatch.setattr(cli, "circulant_det_check", lambda n_max: rows)
+    assert _verify_outputs(capsys, ["--mode", "circulant", "--n-max", "2"]) == [
+        (1, '{"command":"verify","inputs":{"mode":"circulant","n_max":2},'
+            '"result":{"ok":false,"checked":2},'
+            '"metadata":{"failures":[{"n":2,"j":2,"det":3,"expected":2}]}}\n', ""),
+        (1, "n,j,det,expected,ok\n2,1,1,1,true\n2,2,3,2,false\n", ""),
+    ]
+
+
+def test_verify_uniqueness_violation_record(monkeypatch, capsys):
+    # The theorem leaves no violation to find, so one is made up here.
+    report = UniquenessReport(10, (((1, 0, 0), (0, 1, 0)),), (((2, 0, 0), (1, 1, 0)),))
+    monkeypatch.setattr(cli, "verify_uniqueness", lambda d, ell, max_exp, j: report)
+    argv = ["--mode", "uniqueness", "--d", "2", "--ell", "3", "--max-exp", "2", "--j", "2"]
+    assert _verify_outputs(capsys, argv) == [
+        (1, '{"command":"verify","inputs":{"mode":"uniqueness","d":2,"ell":3,'
+            '"max_exp":2,"j":2},"result":{"ok":false,"vectors_checked":10,'
+            '"violations":1},"metadata":{"multiset_only":1,"multiset_examples":'
+            '[{"first":[2,0,0],"second":[1,1,0]}]}}\n', ""),
+        (1, "mode,d,ell,max_exp,j,vectors_checked,violations,ok\n"
+            "uniqueness,2,3,2,2,10,1,false\n", ""),
+    ]
 
 
 def _per_cell(value):
@@ -733,8 +788,11 @@ def test_reader_agrees_with_argparse(parser, argv):
         for name, (help_line, _, options) in list(cli._COMMANDS.items()):
             mp.setitem(cli._COMMANDS, name, (help_line, _echo, options))
         direct = _main_io(argv)
-        mp.setattr(cli, "_read_argv", lambda argv: None)
-        assert _main_io(argv) == direct
+        # A declined argv already went to argparse, so only a read one is
+        # run again through argparse.
+        if args is not None:
+            mp.setattr(cli, "_read_argv", lambda argv: None)
+            assert _main_io(argv) == direct
 
 
 def test_top_level_error_after_a_command_shows_the_full_usage(capsys):
