@@ -4,8 +4,9 @@ Everything in this package is exact: rationals are `fractions.Fraction`,
 and the special number sequences (Bernoulli, unsigned Stirling) come from
 integer recurrences.  `CyclotomicNumber` serves only the audit-only literal
 wave variant, whose class values form one number of order j: it carries
-rational coefficients modulo x**j - 1, and `==` compares numbers of one
-order.  Nothing here touches floating point.
+rational coefficients modulo x**j - 1, reduces them mod Phi_j by the monic
+division that builds Phi_j, and `==` compares numbers of one order.
+Nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -128,14 +129,20 @@ class RationalPolynomial:
 # cyclotomic arithmetic
 
 
-def _poly_mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for t, y in enumerate(b):
-            out[i + t] += x * y
-    return out
+def _divmod_monic(num, den):
+    """Quotient and remainder of num by the monic den, constant term first;
+    the remainder keeps the length of num and the type of its coefficients."""
+    deg = len(den) - 1
+    terms = [(t, p) for t, p in enumerate(den) if p]
+    quot = [0] * (len(num) - deg)
+    rem = list(num)
+    for i in reversed(range(len(quot))):
+        c = rem[i + deg]
+        if c:
+            quot[i] = c
+            for t, p in terms:
+                rem[i + t] -= c * p
+    return quot, rem
 
 
 @lru_cache(maxsize=256)
@@ -143,24 +150,14 @@ def _cyclotomic_polynomial(j: int) -> tuple[int, ...]:
     """Integer coefficients of the j-th cyclotomic polynomial, constant first."""
     if j < 1:
         raise ValueError("order must be positive")
-    if j == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (j - 1) + [1]
-    den = [1]
-    for d in range(1, j):
+    # x**j - 1 divided by Phi_d for each proper divisor d; largest first keeps
+    # the quotients sparse.
+    quot = [-1] + [0] * (j - 1) + [1]
+    for d in range(j - 1, 0, -1):
         if j % d == 0:
-            den = _poly_mul_int(den, list(_cyclotomic_polynomial(d)))
-    # Exact division: den is monic, and the quotient has integer coefficients.
-    quot = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for i in reversed(range(len(quot))):
-        c = rem[i + len(den) - 1]
-        if c:
-            quot[i] = c
-            for t, dc in enumerate(den):
-                rem[i + t] -= c * dc
-    if any(rem):
-        raise ArithmeticError("cyclotomic division left a remainder")
+            quot, rem = _divmod_monic(quot, _cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("cyclotomic division left a remainder")
     return tuple(quot)
 
 
@@ -192,17 +189,7 @@ class CyclotomicNumber:
 
     def canonical(self) -> tuple[Fraction, ...]:
         """Coefficients reduced modulo the cyclotomic polynomial, zero-padded."""
-        phi = _cyclotomic_polynomial(self.order)
-        deg = len(phi) - 1
-        terms = [(t, p) for t, p in enumerate(phi[:deg]) if p]
-        rem = list(self.coeffs)
-        for i in range(len(rem) - 1, deg - 1, -1):
-            c = rem[i]
-            if c:
-                rem[i] = Fraction(0)
-                base = i - deg
-                for t, p in terms:
-                    rem[base + t] -= c * p
+        _, rem = _divmod_monic(self.coeffs, _cyclotomic_polynomial(self.order))
         return tuple(rem)
 
     def to_rational(self) -> Fraction:

@@ -192,11 +192,10 @@ def verify_uniqueness(d: int, ell: int, max_exp: int, j: int) -> UniquenessRepor
         tuple(reversed(combo))
         for combo in combinations_with_replacement(range(max_exp + 1), ell)
     )
-    index_tuples = list(combinations(range(1, ell + 1), j))
     signatures = {}
     by_multiset = {}
     for vec in vectors:
-        sig = tuple(sum(vec[i - 1] for i in tup) for tup in index_tuples)
+        sig = tuple(map(sum, combinations(vec, j)))
         signatures[vec] = sig
         by_multiset.setdefault(tuple(sorted(sig)), []).append(vec)
     # Equal positional products have equal multisets, so every pair of

@@ -55,10 +55,11 @@ def test_every_per_layer_name_resolves(monkeypatch):
 @pytest.mark.parametrize("name", sorted(workloads.BLOCKS))
 def test_every_operation_is_read_without_argparse(name):
     # The benchmark's argv is well-formed, so each operation skips argparse;
-    # the namespace read is the one argparse parses.
+    # the namespace read is the one argparse parses.  Five blocks read every
+    # kind of operation five times.
     ops = workloads.stream(name, 1)
     parser = cli._build_parser()
-    for _ in range(200):
+    for _ in range(5 * len(workloads.BLOCKS[name])):
         argv = list(next(ops).argv)
         args = cli._read_argv(argv)
         assert args is not None, argv

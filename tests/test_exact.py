@@ -103,13 +103,18 @@ def test_cyclotomic_polynomials():
 
 
 def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
-    # the product has degree n, so agreement at n + 1 points is equality
-    for n in range(1, 13):
-        factors = [RationalPolynomial(_cyclotomic_polynomial(d))
-                   for d in range(1, n + 1) if n % d == 0]
-        assert sum(phi.degree for phi in factors) == n
-        for x in range(n + 1):
-            assert math.prod(phi.evaluate(x) for phi in factors) == x**n - 1
+    # 360 and 420 have 24 divisors each, with long chains of proper divisors
+    for n in (*range(1, 131), 360, 420):
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = _cyclotomic_polynomial(d)
+                out = [0] * (len(product) + len(phi) - 1)
+                for i, a in enumerate(product):
+                    for t, b in enumerate(phi):
+                        out[i + t] += a * b
+                product = out
+        assert product == [-1] + [0] * (n - 1) + [1]
 
 
 def test_roots_of_unity_basics():
@@ -159,8 +164,9 @@ def test_cyclotomic_equality_canonicalizes():
 def test_canonical_matches_dense_reduction():
     # Reduce mod Phi_j touching every coefficient of Phi_j, zeros included,
     # and compare with the canonical form; nothing survives from phi(j) on.
+    # Phi_105 is the first with a coefficient outside {-1, 0, 1}.
     rng = random.Random(4099)
-    for j in (8, 16, 27, 12, 30, 64):
+    for j in (8, 16, 27, 12, 30, 64, 105):
         phi = _cyclotomic_polynomial(j)
         deg = len(phi) - 1
         totient = sum(1 for t in range(1, j + 1) if math.gcd(t, j) == 1)

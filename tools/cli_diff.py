@@ -19,6 +19,7 @@ not divide n, one part, six parts, the windows at k = 15 and k = 0), the
 literal `--d` window at k = 4, polynomial parts and wave tables of up to
 eight parts in all three formats, literal tables and a literal sweep at
 cyclotomic orders up to 125 (Phi_105 among them) in all three formats,
+literal tables over the divisors of 360 (in csv) and of 420 (plain),
 usage errors, data errors of every subcommand, the base errors of
 `poly-part --d` and `verify --mode uniqueness`, uniqueness sweeps with and
 without multiset-only pairs (7 pairs, 5 of them shown, and 2 pairs), the
@@ -217,6 +218,13 @@ def argv_list() -> list[list[str]]:
         ["verify", "--mode", "waves", "--parts", "3,5,7", "--n-max", "30",
          "--variant", "literal"],
     ]
+    # Phi_j for the 24 divisors of 360 and of 420, which have long chains of
+    # proper divisors; one format each.
+    literal_chains = [
+        ["waves", "--parts", "7,360", "--n", "50", "--variant", "literal",
+         "--format", "csv"],
+        ["waves", "--parts", "11,420", "--n", "30", "--variant", "literal"],
+    ]
     # The --d table: its base and n errors, and the literal window at k = 0,
     # 1 and 2, the first defective window.
     dary_route = [
@@ -354,6 +362,7 @@ def argv_list() -> list[list[str]]:
                "--n-max", "400", "--format", fmt] for fmt in FORMATS]
     argvs.append(["waves", "--d", "2", "--n", "40", "--variant", "literal",
                   "--format", "csv"])
+    argvs += literal_chains
     # The csv of a whole sweep: one workload-shaped waves sweep and the
     # largest circulant sweep.
     argvs += [["verify", "--mode", "waves", "--parts", "2,3,4,5,6,12",
