@@ -137,13 +137,19 @@ def _parse_int_list(text: str, label: str) -> tuple[int, ...]:
     return values
 
 
+def _index_texts(ell: int, j: int):
+    """The index j-tuples of 1..ell in `combinations` order, each written
+    '1,2,3': the heads of the canonical --products text and of presym's table."""
+    return map(",".join, combinations(map(str, range(1, ell + 1)), j))
+
+
 def _parse_products(text: str, j: int):
     """The --products map as (length, products by index tuple, echo).
 
     Canonical text, every index j-tuple in `combinations` order written
     '%d,...,%d:value' with no spaces (what the echo prints), is read in one
-    pass: its index text is compared with the combinations' text, never
-    converted, and kept as the echo.  Any other text goes to `_parse_chunks`.
+    pass: its heads are compared with `_index_texts`, never converted, and
+    kept as the echo.  Any other text goes to `_parse_chunks`.
     """
     toks = text.replace(";", ":").split(":")
     heads = toks[::2]
@@ -155,8 +161,7 @@ def _parse_products(text: str, j: int):
         # (by the text's length) before C(ell, j) and the combinations.
         if (text.encode().translate(None, b"0123456789,") == b":;" * (n - 1) + b":"
                 and heads[-1].count(",") == j - 1 and ell - j < n == comb(ell, j)
-                and all(map(eq, heads, map(",".join, combinations(
-                    map(str, range(1, ell + 1)), j))))):
+                and all(map(eq, heads, _index_texts(ell, j)))):
             values = list(map(int, islice(toks, 1, None, 2)))
             del toks
             return (ell, dict(zip(combinations(range(1, ell + 1), j), values)),
@@ -192,12 +197,6 @@ def _parse_chunks(text: str):
     if not products:
         raise ValueError("--products must contain at least one entry")
     return max(map(max, products)), products, echo
-
-
-def _keyed(products, j: int) -> dict[str, int]:
-    """Products keyed by their index j-tuple written as '1,2,3'."""
-    key = ",".join(["%d"] * j)
-    return {key % indices: value for indices, value in products.items()}
 
 
 def _count(inputs, metadata, cells, formula, oracle):
@@ -321,7 +320,8 @@ def _cmd_presym(args):
     j = args.j
     value = elementary_symmetric_value(lam, j)
     mu = elementary_symmetric_partition(lam, j)
-    prods = _keyed(positional_products(lam, j), j)
+    prods = dict(zip(_index_texts(lam.length, j),
+                     positional_products(lam, j).products.values()))
     record = {
         "inputs": {"partition": list(lam.parts), "j": j},
         "result": {"value": value, "parts": list(mu.parts)},

@@ -188,26 +188,19 @@ def verify_uniqueness(d: int, ell: int, max_exp: int, j: int) -> UniquenessRepor
         raise ValueError("max_exp must be non-negative")
     if not 1 <= j <= ell - 1:
         raise ValueError(f"order must lie in 1..{ell - 1}, got {j}")
-    vectors = sorted(
-        tuple(reversed(combo))
-        for combo in combinations_with_replacement(range(max_exp + 1), ell)
-    )
-    signatures = {}
-    by_multiset = {}
-    for vec in vectors:
-        sig = tuple(map(sum, combinations(vec, j)))
-        signatures[vec] = sig
-        by_multiset.setdefault(tuple(sorted(sig)), []).append(vec)
     # Equal positional products have equal multisets, so every pair of
     # either kind lies inside one multiset group.
+    by_multiset = {}
+    for combo in combinations_with_replacement(range(max_exp + 1), ell):
+        vec = combo[::-1]
+        sig = tuple(map(sum, combinations(vec, j)))
+        by_multiset.setdefault(tuple(sorted(sig)), []).append((vec, sig))
     violations = []
     multiset_only = []
     for group in by_multiset.values():
-        for a, b in combinations(group, 2):
-            if signatures[a] == signatures[b]:
-                violations.append((a, b))
-            else:
-                multiset_only.append((a, b))
+        for (a, sig_a), (b, sig_b) in combinations(sorted(group), 2):
+            (violations if sig_a == sig_b else multiset_only).append((a, b))
     violations.sort()
     multiset_only.sort()
-    return UniquenessReport(len(vectors), tuple(violations), tuple(multiset_only))
+    return UniquenessReport(sum(map(len, by_multiset.values())), tuple(violations),
+                            tuple(multiset_only))

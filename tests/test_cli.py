@@ -394,7 +394,8 @@ def test_canonical_products_parse_as_chunk_by_chunk(data, ell, d, fmt, kind):
     j = data.draw(st.integers(1, ell - 1))
     count = math.comb(ell, j)
     # The products of a d-ary partition, or any positive values.
-    if data.draw(st.booleans()):
+    dary = data.draw(st.booleans())
+    if dary:
         exponents = sorted(data.draw(st.lists(st.integers(0, 6), min_size=ell,
                                               max_size=ell)), reverse=True)
         values = [d ** sum(exponents[i - 1] for i in tup)
@@ -405,12 +406,18 @@ def test_canonical_products_parse_as_chunk_by_chunk(data, ell, d, fmt, kind):
     chunks = _chunks(ell, j, values)
     text = ";".join(chunks)
     assert _canonical_route(text, j)
+    if dary:  # presym writes the products table in the same canonical text
+        partition = ",".join(str(d**e) for e in exponents)
+        code, out, _ = _main_io(["presym", "--partition", partition, "--j", str(j),
+                                 "--format", "json"])
+        table = json.loads(out)["metadata"]["products"]
+        assert code == 0 and ";".join(f"{k}:{v}" for k, v in table.items()) == text
     ell_read, raw, echo = cli._parse_products(text, j)
     chunk_ell, chunk_raw, chunk_echo = cli._parse_chunks(text)
     assert list(chunk_echo.items()) == list(echo.items())
     assert ell_read == chunk_ell == ell
     assert list(raw.items()) == list(chunk_raw.items())
-    assert list(echo.items()) == list(cli._keyed(chunk_raw, j).items())
+    assert list(echo.items()) == list(zip(cli._index_texts(ell, j), chunk_raw.values()))
 
     spoiled, spoiled_j = _perturb(kind, chunks, j, data.draw)
     if kind != "one chunk dropped":  # dropping the last chunk of j = 1 is canonical

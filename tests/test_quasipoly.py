@@ -205,7 +205,7 @@ def _step_difference(series, n, step, order):
     )
 
 
-def test_fit_single_unit_part():
+def test_dp_step_differences_single_unit_part():
     # period 1, degree 0: the count is the constant 1
     a = PartsList((1,))
     assert a.D == 1
@@ -214,7 +214,7 @@ def test_fit_single_unit_part():
     assert all(denumerant_formula(a, n) == 1 for n in range(21))
 
 
-def test_fit_parts_one_two():
+def test_dp_step_differences_parts_one_two():
     # period 2, degree 1: the count is floor(n/2) + 1
     a = PartsList((1, 2))
     assert a.D == 2
@@ -224,7 +224,7 @@ def test_fit_parts_one_two():
     assert [denumerant_formula(a, n) for n in range(11)] == series[:11]
 
 
-def test_fit_reproduces_dp_everywhere():
+def test_dp_step_differences_and_formula_everywhere():
     # on each residue class mod D the count is a polynomial of degree exactly
     # r-1 whose leading coefficient is 1/((r-1)! * prod(a)), so its (r-1)-th
     # step-D difference is the constant D^(r-1)/prod(a) and its r-th is 0
@@ -240,7 +240,7 @@ def test_fit_reproduces_dp_everywhere():
             ), (parts, n)
 
 
-def test_fit_periodicity_of_differences():
+def test_dp_step_difference_of_two_three_is_one():
     # for (2, 3) the count grows by exactly one every period D = 6
     a = PartsList((2, 3))
     series = denumerant_series(a, 101 + a.D)

@@ -277,10 +277,12 @@ def test_reconstruct_rejects_a_one_part_map():
 
 
 def brute_uniqueness(ell, max_exp, j):
-    vectors = [
+    """The number of vectors, then the sorted pairs that share their
+    positional sums and the sorted pairs that share only their multiset."""
+    vectors = sorted(
         tuple(reversed(c))
         for c in combinations_with_replacement(range(max_exp + 1), ell)
-    ]
+    )
     tuples = list(combinations(range(ell), j))
     positional = {}
     multiset = {}
@@ -288,19 +290,17 @@ def brute_uniqueness(ell, max_exp, j):
         sig = tuple(sum(vec[i] for i in tup) for tup in tuples)
         positional.setdefault(sig, []).append(vec)
         multiset.setdefault(tuple(sorted(sig)), []).append(vec)
-    collisions = sum(
-        len(group) * (len(group) - 1) // 2
-        for group in positional.values()
-        if len(group) > 1
+    collisions = sorted(
+        pair for group in positional.values() for pair in combinations(group, 2)
     )
-    multiset_pairs = 0
+    multiset_pairs = []
     for group in multiset.values():
         for a, b in combinations(group, 2):
             sig_a = tuple(sum(a[i] for i in tup) for tup in tuples)
             sig_b = tuple(sum(b[i] for i in tup) for tup in tuples)
             if sig_a != sig_b:
-                multiset_pairs += 1
-    return len(vectors), collisions, multiset_pairs
+                multiset_pairs.append((a, b))
+    return len(vectors), collisions, sorted(multiset_pairs)
 
 
 def test_verify_uniqueness_golden():
@@ -311,12 +311,14 @@ def test_verify_uniqueness_golden():
 
 
 def test_verify_uniqueness_matches_brute_force():
-    for d, ell, max_exp, j in [(2, 3, 3, 2), (2, 4, 3, 2), (3, 4, 2, 3), (2, 5, 2, 2)]:
+    # The CLI prints the first five multiset-only pairs, so their order counts.
+    for d, ell, max_exp, j in [(2, 3, 3, 2), (2, 4, 3, 2), (3, 4, 2, 3), (2, 5, 2, 2),
+                               (3, 6, 5, 3)]:
         report = verify_uniqueness(d, ell, max_exp, j)
         vectors, collisions, multiset_pairs = brute_uniqueness(ell, max_exp, j)
         assert report.vectors_checked == vectors
-        assert len(report.violations) == collisions == 0
-        assert len(report.multiset_only) == multiset_pairs
+        assert list(report.violations) == collisions == []
+        assert list(report.multiset_only) == multiset_pairs
 
 
 def test_verify_uniqueness_multiset_rows_are_informational():

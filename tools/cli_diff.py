@@ -7,53 +7,12 @@ Usage:
 Each SRC is a directory holding the `partwaves` package (a checkout's
 `src/`).  To compare the working tree with its last commit, check the
 commit out with `git worktree add <dir> HEAD` and pass `<dir>/src` and
-`src`.  A fixed list of argv vectors is run through `partwaves.cli.main`
-once per tree, each tree in its own subprocess, and every argv whose stdout,
-stderr or exit code differ between the trees is listed.  The list covers
-every subcommand in all three formats, both wave variants, the `--parts`
-and `--d` forms, wave tables at n below j, at D up to 512 (in the literal
-variant too) and on the large `--d` windows D = 2**14, 2**15, 2**16, 3**9
-and 5**7, parts lists whose running gcd drops in several steps as they are
-folded, the DP oracle's residue classes (a gcd of the parts that does
-not divide n, one part, six parts, the windows at k = 15 and k = 0), the
-literal `--d` window at k = 4, polynomial parts and wave tables of up to
-eight parts in all three formats, literal tables and a literal sweep at
-cyclotomic orders up to 125 (Phi_105 among them) in all three formats,
-literal tables over the divisors of 360 (in csv) and of 420 (plain),
-usage errors, data errors of every subcommand, the base errors of
-`poly-part --d` and `verify --mode uniqueness`, uniqueness sweeps with and
-without multiset-only pairs (7 pairs, 5 of them shown, and 2 pairs), the
-one-row waves sweep, the smallest circulant sweep, the k = 0 window at
-n = 1 and at n = 0, each subcommand's `--help`, valid, corrupted,
-not-a-power and malformed `reconstruct` inputs, and argv that does or does
-not begin with a command name.  For the reconstruction's combinations
-pass it also runs a full j = 3 map at ell = 40 (9880 products) in all three
-formats, a valid map given in reversed order, a map of the right size with
-one bad key, index heads with whitespace and leading zeros, and the
-workload's largest circulant sweep (n_max = 18) in json.  For the waves'
-integer numerators over D**r * (r-1)! it runs a six-part table at D = 360360
-(numerators far past 64 bits) in all three formats, a twisted sweep of
-1,...,6 to n = 400 in all three formats, and the defective literal window
-at k = 5 in csv.  For the sweep's csv, written in one pass from cells
-formatted when the table is built, it runs a sweep shaped like the
-benchmark's (six parts, n_max = 200) and the largest circulant sweep in
-csv.  For the formula's fold, which stops at n, and the DP's
-running sums it runs, in json, `count` on a six-part list with D = 30030
-at n < D and at n = r*D - 1, r*D and r*D + 1, and `dary-count` at n = d**k
-and n = d**(k+1) - 1 for d = 2, k = 13 and d = 3, k = 8.  For the
-canonical `--products` text, read in one pass, it runs the full j = 3 map
-with a last value 'nine', a first head '01,2,3', a trailing ';', `--j 2`, a
-last value ' 1_024' and a last value 0, each plain and in json.  For the
-direct argv reader, which reads only exact, unrepeated flags with values
-that do not start with '-' and leaves every other argv to argparse, it
-runs `count` with `--n=8`, `--n 1 --n 8` (the last wins), `--n ' 8'`,
-`--n 1_000` and `--parts ''`, `verify --mode=waves` and `verify --mode
-circulant --variant literal`, each plain and in json, and plain only
-`--format=json`, `-h` after a complete option list, `--seed x` and a value
-equal to a flag (`--parts --n`).  For the `--d` table, whose wave specs come
-from the window, it runs the base and n errors (`--d 1 --n 5`, `--d 2 --n
--1`) and the literal window at k = 0, 1 and 2 (k = 2 is the first defective
-window), each in all three formats.
+`src`.  A fixed list of argv vectors, `argv_list`, is run through
+`partwaves.cli.main` once per tree, each tree in its own subprocess, and
+every argv whose stdout, stderr or exit code differ between the trees is
+listed.  The list covers every subcommand in all three formats and both
+wave variants, their usage and data errors and `--help`; the comment on
+each group of argv says which code path or edge it reaches.
 
 With `--write-digests` the argv lists are run once under SRC (default: the
 checkout's `src/`) and `tests/cli_digests.txt` is rewritten from the results,
@@ -137,6 +96,8 @@ def argv_list() -> list[list[str]]:
         _reconstruct("2,3:3;1,3:9;1,2:27"),
         _reconstruct(" 1, 02:27;1,3:9;2,3:3"),
         ["verify", "--mode", "circulant", "--n-max", "6"],
+        # Uniqueness sweeps with no multiset-only pairs, with 7 (5 of them
+        # shown) and with 2.
         ["verify", "--mode", "uniqueness", "--d", "2", "--ell", "4",
          "--max-exp", "2", "--j", "2"],
         ["verify", "--mode", "uniqueness", "--d", "2", "--ell", "4",
@@ -324,14 +285,17 @@ def argv_list() -> list[list[str]]:
         ["verify", "--mode=waves", "--parts", "1,3", "--n-max", "10"],
         ["verify", "--mode", "circulant", "--n-max", "6", "--variant", "literal"],
     ]
+    # Plain only: argv the reader leaves to argparse ('--format=json', '-h'
+    # after a complete option list, a bad --seed, a value equal to a flag).
     reader_plain = [
         ["count", "--parts", "1,3", "--n", "8", "--format=json"],
         ["count", "--parts", "1,3", "--n", "8", "-h"],
         ["count", "--parts", "1,3", "--n", "8", "--seed", "x"],
         ["count", "--parts", "--n", "8"],
     ]
-    # Errors raised by the window and base checks the library shares, and the
-    # smallest sweeps and window, each in json.
+    # Errors raised by the window and base checks the library shares, the
+    # smallest sweeps and window, and the largest circulant sweep the
+    # benchmark draws (n_max = 18), each in json.
     edges = [
         ["poly-part", "--d", "1", "--k", "2"],
         ["verify", "--mode", "uniqueness", "--d", "1", "--ell", "3",
@@ -368,6 +332,14 @@ def argv_list() -> list[list[str]]:
     argvs += [["verify", "--mode", "waves", "--parts", "2,3,4,5,6,12",
                "--n-max", "200", "--format", "csv"],
               ["verify", "--mode", "circulant", "--n-max", "18", "--format", "csv"]]
+    # The largest presym and uniqueness shapes the benchmark draws: a table of
+    # C(12, 6) = 924 products, written in the canonical text that reconstruct
+    # reads in one pass, and 462 vectors with 23 multiset-only pairs, the
+    # first five shown, in the order the sweep sorts them.
+    argvs += [["presym", "--partition", "12,11,10,9,8,7,6,5,4,3,2,1", "--j", "6",
+               "--format", fmt] for fmt in FORMATS]
+    argvs += [["verify", "--mode", "uniqueness", "--d", "3", "--ell", "6",
+               "--max-exp", "5", "--j", "3", "--format", fmt] for fmt in ("json", "csv")]
     # The fold cut at n: below D = 30030 and around r*D = 180180, where the
     # formula's last box sum is read; the windows at their two ends.
     argvs += [["count", "--parts", "2,3,5,11,13,14", "--n", str(n), "--format",
