@@ -25,8 +25,8 @@ import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, islice
-from math import comb
+from itertools import combinations, islice, repeat
+from math import comb, gcd
 from operator import eq
 from types import SimpleNamespace
 
@@ -45,6 +45,7 @@ from .partitions import (
     PartsList,
     SubsetProductMap,
     denumerant_dp,
+    denumerant_series,
     elementary_symmetric_partition,
     elementary_symmetric_value,
     positional_products,
@@ -62,10 +63,10 @@ from .waves import (
     TWISTED,
     NotDivisor,
     _box_specs,
+    _wave_row,
     _wave_rows,
     polynomial_part_average,
     polynomial_part_bernoulli,
-    wave_decomposition_check,
 )
 
 __all__ = ["main"]
@@ -270,15 +271,22 @@ def _cmd_poly_part(args):
     return record, header, rows, 0 if agreement else 1
 
 
-def _term_rows(check_rows):
-    """Table rows n, j, value or error, sum, oracle, agreement per wave term.
+def _wave_terms(ns, divisors, den, rows, expected, records):
+    """Table rows n, j, value or error, sum, oracle, agreement per wave term,
+    from the numerators `rows` over den at `ns`, made only as csv reads them.
 
-    A row's sum and agreement are formatted once and shared by its terms.
-    The rows are made as they are read, so only csv output makes them."""
-    for row in check_rows:
-        total, ok = _scalar(row.total), _scalar(row.ok)
-        yield from [[row.n, term.j, term.value if term.value is not None else term.error,
-                     total, row.expected, ok] for term in row.terms]
+    A row with a `_wave_row` record in `records` (every failed row has one) is
+    written from it; any other row agrees, and a term p is written as p // g
+    or (p // g)/(den // g), g = gcd(p, den), as str(Fraction(p, den)) is."""
+    records = {row.n: row for row in records}
+    for n, nums, want in zip(ns, rows, expected):
+        if row := records.get(n):
+            yield from [[n, t.j, t.error if t.value is None else t.value,
+                         _scalar(row.total), want, _scalar(row.ok)] for t in row.terms]
+        else:
+            yield from [[n, j, p // g if g == den else f"{p // g}/{den // g}",
+                         want, want, "true"]
+                        for j, p, g in zip(divisors, nums, map(gcd, nums, repeat(den)))]
 
 
 def _cmd_waves(args):
@@ -301,7 +309,8 @@ def _cmd_waves(args):
         specs = _window_specs(d, k, args.variant)
         inputs = {"d": d, "n": n}
         extra = {"k": k, "D": a.D}
-    (row,) = _wave_rows(a, specs, [n], [denumerant_dp(a, n)], args.variant)
+    divisors, den, (nums,) = _wave_rows(a, specs, range(n, n + 1), args.variant)
+    row = _wave_row(n, divisors, nums, denumerant_dp(a, n), den)
     table = [{"j": t.j, "value": t.value} if t.value is not None
              else {"j": t.j, "value": None, "error": t.error} for t in row.terms]
     record = {
@@ -312,7 +321,8 @@ def _cmd_waves(args):
         "agreement": row.ok,
     }
     header = ["n", "j", "value", "sum", "oracle", "agreement"]
-    return record, header, _term_rows([row]), 0 if row.ok else 1
+    rows = _wave_terms([n], divisors, den, [nums], [row.expected], [row])
+    return record, header, rows, 0 if row.ok else 1
 
 
 def _cmd_presym(args):
@@ -395,21 +405,27 @@ def _cmd_verify(args):
         header = ["n", "j", "det", "expected", "ok"]
         rows = [[row.n, row.j, row.det, row.expected, _scalar(row.ok)]
                 for row in checked]
+        result = {"checked": len(checked)}
     else:  # "waves", the last of argparse's choices
         if args.parts is None or args.n_max is None:
             raise ValueError("--mode waves requires --parts and --n-max")
         a = PartsList(_parse_int_list(args.parts, "--parts"))
-        checked = wave_decomposition_check(a, args.n_max, args.variant)
+        expected = denumerant_series(a, args.n_max)
+        ns = range(args.n_max + 1)
+        divisors, den, numerators = _wave_rows(a, _box_specs(a), ns, args.variant)
         inputs = {"mode": mode, "parts": list(a.parts), "n_max": args.n_max}
-        metadata = {"variant": args.variant,
-                    "divisors": [t.j for t in checked[0].terms]}
+        metadata = {"variant": args.variant, "divisors": list(divisors)}
+        checked = [_wave_row(n, divisors, nums, want, den)
+                   for n, nums, want in zip(ns, numerators, expected)
+                   if any(map(isinstance, nums, repeat(NotRational)))
+                   or sum(nums) != want * den]
         failed = ("n", "total", "expected", "residual")
         header = ["n", "j", "value", "total", "expected", "ok"]
-        rows = _term_rows(checked)
+        rows = _wave_terms(ns, divisors, den, numerators, expected, checked)
+        result = {"checked": len(ns)}
     if mode != "uniqueness":
         failures = [{key: getattr(row, key) for key in failed}
                     for row in checked if not row.ok]
-        result = {"checked": len(checked)}
         metadata["failures"] = failures
     ok = not failures
     if mode == "uniqueness":  # one csv row: the inputs, then the result

@@ -31,6 +31,7 @@ from .waves import (
     NotDivisor,
     _box_specs,
     _build_wave,
+    _cell,
     _check_variant,
     _denominator,
     polynomial_part_average,
@@ -181,8 +182,8 @@ def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
     period = d**k
     if period % j:
         raise NotDivisor(f"{j} does not divide {d}**{k}")
-    return Fraction(_build_wave(k + 1, period, j, _window_specs(d, k, variant),
-                                variant)(n), _denominator(k + 1, period))
+    return _cell(_build_wave(k + 1, period, j, _window_specs(d, k, variant), variant),
+                 n, _denominator(k + 1, period))
 
 
 def poly_part_d_average(d: int, k: int) -> RationalPolynomial:

@@ -5,9 +5,9 @@ The count p_a(n) splits as a sum of waves W_j(n) over the distinct divisors
 j of the entries of `a`; W_1 is the polynomial part.  The box-tuple sums are
 split into congruence classes modulo j, each class is expanded into a
 polynomial in n, and the classes are combined with a weight per class; a
-wave is built once, as a function of n, and evaluated at each n.  A class
-enters only through the power sums of its box sums, which `_residue_moments`
-gets from `quasipoly._fold`, the formula's gcd-ordered fold, of at most
+wave is built once, as a column over a range of n.  A class enters only
+through the power sums of its box sums, which `_residue_moments` gets from
+`quasipoly._fold`, the formula's gcd-ordered fold, of at most
 sum(lcm(a_i, j)) values, not from the box; a twisted wave reads at most
 rad(j) of its j classes.
 
@@ -19,8 +19,9 @@ Two weightings are exposed:
   the Ramanujan sum c_j(ell - n), an integer that depends on n only through
   n mod j, so the wave is a period-j quasi-polynomial of degree r - 1, kept
   as integer numerators over D**r * (r-1)!, one denominator for all waves of
-  `a`, evaluated by Horner in int and made a Fraction only where returned or
-  printed.  This variant satisfies sum_j W_j(n) = p_a(n) exactly.
+  `a`, one polynomial per residue class of n, evaluated as one column.  A
+  Fraction is made only in library returns and failure records; the sweep
+  prints reduced numerator pairs.  These waves sum to p_a(n) exactly.
 * "literal": class ell is weighted by the bare power rho_j**ell.  Kept
   callable for audit; the class values at n form one cyclotomic number of
   order j, and with no dependence on n mod j it cannot reproduce the
@@ -36,7 +37,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import mul
+from operator import add, mul
 
 from .exact import (
     CyclotomicNumber,
@@ -91,11 +92,10 @@ def divisor_set(a: PartsList) -> tuple[int, ...]:
 # power sums over the tuple box
 
 
-def _binomial_convolution(x, y):
-    """Power sums of v + w, for v with power sums x and w with power sums y:
-    sum C(p, q) * x[q] * y[p - q] over q <= p."""
-    return [sum(math.comb(p, q) * x[q] * y[p - q] for q in range(p + 1))
-            for p in range(len(y))]
+def _binomial_mix(y):
+    """Rows m with sum(map(mul, m, x)) the p-th power sum of v + w, for v with
+    power sums x and w with power sums y: m = C(p, q) * y[p - q] over q <= p."""
+    return [[math.comb(p, q) * y[p - q] for q in range(p + 1)] for p in range(len(y))]
 
 
 def _residue_moments(specs, j: int, t_max: int):
@@ -128,8 +128,9 @@ def _residue_moments(specs, j: int, t_max: int):
                      for i in range(t_max + 1)]
             sums = [(stride * m) ** q * sum(map(mul, numbers, basis))
                     for q, numbers in enumerate(stirling)]
-            long_sums = _binomial_convolution(long_sums, sums)
+            long_sums = [sum(map(mul, m, sums)) for m in _binomial_mix(long_sums)]
     short, g = _fold(short_specs, j)
+    mix = _binomial_mix(long_sums)
 
     @lru_cache(maxsize=j)
     def row(rho: int) -> list[int]:
@@ -139,7 +140,7 @@ def _residue_moments(specs, j: int, t_max: int):
         for _ in range(t_max):
             column = list(map(mul, column, values))
             sums.append(sum(column))
-        return _binomial_convolution(sums, long_sums)
+        return [sum(map(mul, m, sums)) for m in mix]
 
     return row
 
@@ -204,48 +205,72 @@ def polynomial_part_bernoulli(a: PartsList) -> RationalPolynomial:
 # waves
 
 
-@lru_cache(maxsize=1024)
-def _ramanujan_sum(j: int, g: int) -> int:
-    """The Ramanujan sum c_j(delta), the sum of rho_j**(nu*delta) over
-    0 <= nu < j with gcd(nu, j) == 1, for any delta with gcd(j, delta) == g.
+def _ramanujan_weights(j: int) -> list[tuple[int, int]]:
+    """(delta, c_j(delta)) for the delta < j where the Ramanujan sum c_j, the
+    sum of rho_j**(nu*delta) over 0 <= nu < j coprime to j, is nonzero.
 
-    It is an integer, from sum(c_e(delta) for e | j) == j * [j | delta]."""
-    total = j if g == j else 0
-    return total - sum(
-        _ramanujan_sum(e, math.gcd(e, g)) for e in range(1, j) if j % e == 0
-    )
+    By Hoelder, c_j(delta) = mu(j/g) * phi(j) / phi(j/g), g = gcd(j, delta),
+    is nonzero exactly at the multiples s*m of s = j / rad(j), where it is
+    s times the product over the primes p of j of p - 1 if p | m, else -1."""
+    primes, rest = [], j
+    for p in range(2, math.isqrt(j) + 1):
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+    primes += [rest] if rest > 1 else []
+    s = j // math.prod(primes)
+    return [(s * m, s * math.prod(p - 1 if m % p == 0 else -1 for p in primes))
+            for m in range(j // s)]
 
 
 def _build_wave(r: int, D: int, j: int, specs, variant: str):
-    """The wave from the (stride, count) box specs: n to its value at n as an
-    integer numerator over `_denominator(r, D)`.
+    """The wave from the (stride, count) box specs as a column: a range `ns`
+    to the list of the wave's integer numerators over `_denominator(r, D)`.
 
     Class ell modulo j expands, via `_poly_numerators`, to a polynomial in n.
-    The twisted weight c_j(ell - n) depends on n only through n mod j, so
-    residue c of the wave is one expansion of the moments weighted by the
-    integers c_j(ell - c), made the first time the wave is evaluated at an n
-    of that residue and kept: one evaluation expands one class, and a sweep
-    over n expands each class once.  It reads only the classes ell with
-    c_j(ell - c) != 0, at most rad(j) of the j.  The literal weights
-    rho_j**ell make the class values at n, over D**(r-1), one cyclotomic
-    number, extracted at each n, so every class is expanded."""
+    The twisted weight c_j(ell - n) depends on n only through n mod j, so the
+    wave on the slice of `ns` in residue c is one polynomial, the expansion
+    of the classes weighted by c_j(ell - c) != 0, run by Horner in C-level
+    passes over the slice.  The literal weights rho_j**ell make the class
+    values at n, over D**(r-1), one cyclotomic number, extracted at each n;
+    a cell whose extraction fails holds its NotRational."""
     row = _residue_moments(specs, j, r - 1)
     if variant == TWISTED:
-        weights = [(delta, w) for delta in range(j)
-                   if (w := _ramanujan_sum(j, math.gcd(j, delta)))]
+        deltas, weights = zip(*_ramanujan_weights(j))
 
-        @lru_cache(maxsize=j)
-        def residue_poly(c: int) -> list[int]:
-            return _poly_numerators(r, D, [
-                sum(w * row((c + delta) % j)[t] for delta, w in weights)
-                for t in range(r)
-            ])
+        def column(ns) -> list[int]:
+            out = [0] * len(ns)
+            for c in range(min(j, len(ns))):
+                at = ns[c::j]
+                acc = [0] * len(at)
+                by_power = zip(*(row((at[0] + delta) % j) for delta in deltas))
+                for coef in reversed(_poly_numerators(r, D, [
+                        sum(map(mul, weights, sums)) for sums in by_power])):
+                    acc = list(map(add, map(mul, acc, at), repeat(coef)))
+                out[c::j] = acc
+            return out
 
-        return lambda n: _horner(residue_poly(n % j), n)
+        return column
     classes = [_poly_numerators(r, D, row(rho)) for rho in range(j)]
     unit = D ** (r - 1)
-    return lambda n: int(CyclotomicNumber(
-        j, [Fraction(_horner(c, n), unit) for c in classes]).to_rational() * unit)
+
+    def at(n: int):
+        try:
+            return int(CyclotomicNumber(
+                j, [Fraction(_horner(c, n), unit) for c in classes]).to_rational() * unit)
+        except NotRational as exc:
+            return exc
+
+    return lambda ns: list(map(at, ns))
+
+
+def _cell(column, n: int, den: int) -> Fraction:
+    """The value at n of a wave column over den; raises its cell's NotRational."""
+    (num,) = column(range(n, n + 1))
+    if isinstance(num, NotRational):
+        raise num
+    return Fraction(num, den)
 
 
 def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
@@ -262,56 +287,38 @@ def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fracti
     if all(p % j for p in a.parts):
         raise NotDivisor(f"{j} divides no entry of {a.parts}")
     r = len(a.parts)
-    return Fraction(_build_wave(r, a.D, j, _box_specs(a), variant)(n),
-                    _denominator(r, a.D))
+    return _cell(_build_wave(r, a.D, j, _box_specs(a), variant), n,
+                 _denominator(r, a.D))
 
 
 # A term's value is None when its extraction failed; error then says why.
 WaveTerm = namedtuple("WaveTerm", "j value error", defaults=("",))
 WaveCheckRow = namedtuple("WaveCheckRow", "n terms total expected residual ok")
 
-_ZERO = Fraction(0)
-
-
-def _or_error(at, x):
-    """at(x), or the NotRational it raised."""
-    try:
-        return at(x)
-    except NotRational as exc:
-        return exc
-
 
 def _wave_row(n: int, divisors, nums, expected: int, den: int) -> WaveCheckRow:
     """The row at n of the waves over `divisors`, from their numerators
     `nums` over den, checked against `expected`.  A NotRational in place of
     a numerator is an irrational extraction: its term fails, and so does the
-    row, with no total.
-
-    The check is the integer comparison sum(nums) == expected * den; the
-    row's total is one Fraction of that sum, and every ok row shares one
-    zero residual."""
+    row, with no total."""
     if any(map(isinstance, nums, repeat(NotRational))):
         terms = tuple(WaveTerm(j, None, str(num)) if isinstance(num, NotRational)
                       else WaveTerm(j, Fraction(num, den))
                       for j, num in zip(divisors, nums))
         return WaveCheckRow(n, terms, None, expected, None, False)
     terms = tuple(map(WaveTerm, divisors, map(Fraction, nums, repeat(den))))
-    total = sum(nums)
-    if total == expected * den:
-        return WaveCheckRow(n, terms, Fraction(total, den), expected, _ZERO, True)
-    total = Fraction(total, den)
-    return WaveCheckRow(n, terms, total, expected, total - expected, False)
+    total = Fraction(sum(nums), den)
+    return WaveCheckRow(n, terms, total, expected, total - expected, total == expected)
 
 
-def _wave_rows(a: PartsList, specs, ns, expected, variant: str):
-    """The rows at `ns` of the waves built once from the box `specs`, each
-    wave a column over `ns` that keeps any NotRational, checked by `_wave_row`."""
+def _wave_rows(a: PartsList, specs, ns, variant: str):
+    """(divisors, den, rows): `divisor_set(a)`, the waves' denominator and,
+    per n of the range `ns`, the numerators at n of the waves in ascending j,
+    each wave one `_build_wave` column from the box `specs`."""
     divisors = divisor_set(a)
     r = len(a.parts)
-    built = [_build_wave(r, a.D, j, specs, variant) for j in divisors]
-    columns = [[_or_error(at, n) for n in ns] for at in built]
-    return tuple(map(_wave_row, ns, repeat(divisors), zip(*columns), expected,
-                     repeat(_denominator(r, a.D))))
+    columns = [_build_wave(r, a.D, j, specs, variant)(ns) for j in divisors]
+    return divisors, _denominator(r, a.D), list(zip(*columns))
 
 
 def wave_decomposition_check(
@@ -319,10 +326,11 @@ def wave_decomposition_check(
 ) -> tuple[WaveCheckRow, ...]:
     """Check sum of waves, each built once, against the DP oracle for all
     n <= n_max: one row per n, ascending, its terms in ascending j over
-    `divisor_set(a)`, summed as integer numerators by `_wave_rows`, as the
-    `waves` command's row is.  Failures are data in the rows, never raised."""
+    `divisor_set(a)`, made Fractions by `_wave_row` from the integer
+    numerators of `_wave_rows`.  Failures are data in the rows, never raised;
+    a negative n_max is refused by `denumerant_series`."""
     _check_variant(variant)
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    return _wave_rows(a, _box_specs(a), range(n_max + 1),
-                      denumerant_series(a, n_max), variant)
+    expected = denumerant_series(a, n_max)
+    divisors, den, rows = _wave_rows(a, _box_specs(a), range(n_max + 1), variant)
+    return tuple(map(_wave_row, range(n_max + 1), repeat(divisors), rows, expected,
+                     repeat(den)))

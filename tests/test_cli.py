@@ -574,6 +574,37 @@ def test_sweep_csv_equals_the_per_cell_rendering(capsys, parts, n_max, variant):
     assert out == expected
 
 
+@st.composite
+def _sweep_parts(draw):
+    """Up to four distinct parts whose lcm is at most 36."""
+    D = draw(st.integers(1, 36))
+    return draw(st.lists(st.sampled_from([p for p in range(1, D + 1) if D % p == 0]),
+                         min_size=1, max_size=4, unique=True))
+
+
+@settings(deadline=None, max_examples=40)
+@given(parts=_sweep_parts(), n_max=st.integers(0, 30),
+       variant=st.sampled_from((TWISTED, LITERAL)))
+def test_sweep_csv_lines_are_the_library_rows(parts, n_max, variant):
+    # The sweep writes its terms from numerator pairs; every line must read
+    # as the library's row does with str(Fraction): negative and integral
+    # values, totals, NotRational errors and the ok column.
+    lines = ["n,j,value,total,expected,ok"]
+    for row in wave_decomposition_check(PartsList(parts), n_max, variant):
+        for term in row.terms:
+            cells = [row.n, term.j, term.error if term.value is None else str(term.value),
+                     "" if row.total is None else str(row.total), row.expected,
+                     "true" if row.ok else "false"]
+            out = io.StringIO()
+            csv.writer(out, lineterminator="").writerow(cells)
+            lines.append(out.getvalue())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["verify", "--mode", "waves", "--parts", ",".join(map(str, parts)),
+              "--n-max", str(n_max), "--variant", variant, "--format", "csv"])
+    assert out.getvalue().splitlines() == lines
+
+
 def test_small_tables_csv_equal_the_per_cell_rendering(capsys):
     rows = [[row.n, row.j, row.det, row.expected, row.ok]
             for row in circulant_det_check(8)]

@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import io
+import json
 import math
 import pkgutil
 from collections import Counter
@@ -20,7 +21,7 @@ from partwaves.waves import (
     LITERAL,
     TWISTED,
     NotDivisor,
-    _ramanujan_sum,
+    _ramanujan_weights,
     _residue_moments,
     divisor_set,
     polynomial_part_average,
@@ -221,12 +222,30 @@ def test_polynomial_part_leading_coefficient():
 
 def test_integer_weight_matches_cyclotomic_sum():
     # Hoelder: c_j(ell) = mu(j/g) * phi(j) / phi(j/g), g = gcd(j, ell);
-    # includes j with square factors (mu(j) == 0) such as 16, 18 and 36
+    # includes j with square factors (mu(j) == 0) such as 16, 18 and 36.
+    # An ell the weights leave out has c_j(ell) == 0.
     for j in range(1, 40):
+        weights = dict(_ramanujan_weights(j))
         for ell in range(j):
             g = math.gcd(j, ell)
             want = mobius(j // g) * totient(j) // totient(j // g)
-            assert _ramanujan_sum(j, g) == want
+            assert weights.get(ell, 0) == want
+
+
+@lru_cache(maxsize=None)
+def ramanujan_by_divisor_sums(j, g):
+    """c_j(delta) for any delta with gcd(j, delta) == g, from
+    sum(c_e(delta) for e | j) == j * [j | delta]."""
+    return (j if g == j else 0) - sum(
+        ramanujan_by_divisor_sums(e, math.gcd(e, g)) for e in range(1, j) if j % e == 0)
+
+
+def test_ramanujan_weights_are_the_nonzero_sums():
+    # the weights step by j / rad(j) and skip no delta < j with c_j(delta) != 0
+    for j in range(1, 400):
+        full = [(delta, ramanujan_by_divisor_sums(j, math.gcd(j, delta)))
+                for delta in range(j)]
+        assert _ramanujan_weights(j) == [(delta, c) for delta, c in full if c]
 
 
 def test_wave_golden_values():
@@ -425,13 +444,14 @@ def test_built_wave_keeps_each_class_apart(parts, data):
     den = a.D**r * math.factorial(r - 1)
     want = partial_fraction_waves(parts, 3 * max(parts))
     for j in divisor_set(a):
-        built = waves._build_wave(r, a.D, j, specs, TWISTED)
-        ns = data.draw(st.lists(st.integers(0, 3 * j), min_size=1, max_size=4))
-        ns.append(data.draw(st.integers(0, j - 1)))
-        # repeats and a shuffled order: a class expanded at one n must serve
-        # every later n of that class and no other
-        for n in data.draw(st.permutations(ns + ns)):
-            assert Fraction(built(n), den) == wave(j, a, n) == want[j][n]
+        column = waves._build_wave(r, a.D, j, specs, TWISTED)
+        # one column read over ranges that start at every residue, some of
+        # them shorter than j: each slice must take its own class's polynomial
+        for lo in range(j):
+            lo += j * data.draw(st.integers(0, 1))
+            ns = range(lo, lo + data.draw(st.integers(1, j + 1)))
+            assert [Fraction(num, den) for num in column(ns)] == [
+                wave(j, a, n) for n in ns] == [want[j][n] for n in ns]
 
 
 @st.composite
@@ -462,15 +482,24 @@ def test_integer_sums_catch_a_moved_unit(a, n_max, data):
     build = waves._build_wave
 
     def shifted(r, D, j, specs, variant):
-        at = build(r, D, j, specs, variant)
-        return (lambda n: at(n) + (n == shifted_n)) if j == shifted_j else at
+        column = build(r, D, j, specs, variant)
+        if j != shifted_j:
+            return column
+        return lambda ns: [num + (n == shifted_n) for n, num in zip(ns, column(ns))]
 
+    parts = ",".join(map(str, a.parts))
+    sweep = io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(waves, "_build_wave", shifted)
         moved = wave_decomposition_check(a, n_max)
         # the waves command checks its row by the same integer sums
-        argv = ["waves", "--parts", ",".join(map(str, a.parts)), "--n", str(shifted_n)]
+        argv = ["waves", "--parts", parts, "--n", str(shifted_n)]
         with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 1
+        # and the sweep reports that row, and only that row, as failed
+        argv = ["verify", "--mode", "waves", "--parts", parts, "--n-max", str(n_max),
+                "--format", "json"]
+        with contextlib.redirect_stdout(sweep):
             assert main(argv) == 1
     r = len(a.parts)
     for row in moved:
@@ -479,6 +508,11 @@ def test_integer_sums_catch_a_moved_unit(a, n_max, data):
             assert row.residual == Fraction(1, a.D**r * math.factorial(r - 1))
         else:
             assert row.ok and row.residual == 0
+    (failure,) = json.loads(sweep.getvalue())["metadata"]["failures"]
+    row = moved[shifted_n]
+    assert (failure["n"], failure["expected"]) == (shifted_n, row.expected)
+    assert Fraction(failure["total"]) == row.total
+    assert Fraction(failure["residual"]) == row.residual
 
 
 def test_every_cache_is_bounded():

@@ -332,6 +332,21 @@ def argv_list() -> list[list[str]]:
     argvs += [["verify", "--mode", "waves", "--parts", "2,3,4,5,6,12",
                "--n-max", "200", "--format", "csv"],
               ["verify", "--mode", "circulant", "--n-max", "18", "--format", "csv"]]
+    # Waves evaluated as one column per residue class: a sweep with fewer n
+    # than its largest divisor, so some classes of j = 12 are never reached,
+    # in both variants; a table at n = 0; and the largest sweeps the
+    # benchmark draws at seed 1, by printed terms (200 rows of 6 waves) and
+    # by its cost model (117 rows of 6 waves with r = 6).
+    argvs += [["verify", "--mode", "waves", "--parts", "5,12", "--n-max", "3",
+               "--variant", variant, "--format", fmt]
+              for variant, fmt in (("twisted", "csv"), ("literal", "csv"),
+                                   ("literal", "json"))]
+    argvs += [["waves", "--parts", "5,7", "--n", "0", "--format", fmt]
+              for fmt in FORMATS]
+    argvs += [["verify", "--mode", "waves", "--parts", parts, "--n-max", n_max,
+               "--format", fmt]
+              for parts, n_max in (("3,4,6,8", "199"), ("1,2,3,4,6,8", "116"))
+              for fmt in FORMATS]
     # The largest presym and uniqueness shapes the benchmark draws: a table of
     # C(12, 6) = 924 products, written in the canonical text that reconstruct
     # reads in one pass, and 462 vectors with 23 multiset-only pairs, the
