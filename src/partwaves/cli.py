@@ -44,11 +44,10 @@ from .partitions import (
     Partition,
     PartsList,
     SubsetProductMap,
+    _subset_products,
     denumerant_dp,
     denumerant_series,
-    elementary_symmetric_partition,
     elementary_symmetric_value,
-    positional_products,
 )
 from .quasipoly import denumerant_formula
 from .reconstruct import (
@@ -329,20 +328,19 @@ def _cmd_presym(args):
     lam = Partition(_parse_int_list(args.partition, "--partition"))
     j = args.j
     value = elementary_symmetric_value(lam, j)
-    mu = elementary_symmetric_partition(lam, j)
-    prods = dict(zip(_index_texts(lam.length, j),
-                     positional_products(lam, j).products.values()))
+    prods = _subset_products(lam, j)
+    table = dict(zip(_index_texts(lam.length, j), prods))
     record = {
         "inputs": {"partition": list(lam.parts), "j": j},
-        "result": {"value": value, "parts": list(mu.parts)},
+        "result": {"value": value, "parts": sorted(prods, reverse=True)},
         "metadata": {
             "length": lam.length,
             "order": j,
-            "products": prods,
+            "products": table,
         },
     }
     header = ["indices", "product"]
-    rows = [[key, val] for key, val in prods.items()]
+    rows = [[key, val] for key, val in table.items()]
     return record, header, rows, 0
 
 

@@ -245,19 +245,19 @@ def elementary_symmetric_value(lam: Partition, j: int) -> int:
     return e[j]
 
 
-def elementary_symmetric_partition(lam: Partition, j: int) -> Partition:
-    """Partition formed by all j-fold products of parts of `lam`."""
+def _subset_products(lam: Partition, j: int) -> list[int]:
+    """The j-fold products of the parts of `lam`, in `combinations` order."""
     if not 1 <= j <= lam.length:
         raise ValueError(f"j must lie in 1..{lam.length}, got {j}")
-    prods = [math.prod(combo) for combo in combinations(lam.parts, j)]
-    prods.sort(reverse=True)
-    return Partition(prods)
+    return list(map(math.prod, combinations(lam.parts, j)))
+
+
+def elementary_symmetric_partition(lam: Partition, j: int) -> Partition:
+    """Partition formed by all j-fold products of parts of `lam`."""
+    return Partition(sorted(_subset_products(lam, j), reverse=True))
 
 
 def positional_products(lam: Partition, j: int) -> SubsetProductMap:
     """Position-indexed j-fold products of `lam` (1-based index tuples)."""
-    if not 1 <= j <= lam.length:
-        raise ValueError(f"j must lie in 1..{lam.length}, got {j}")
-    prods = dict(zip(combinations(range(1, lam.length + 1), j),
-                     map(math.prod, combinations(lam.parts, j))))
-    return SubsetProductMap(lam.length, j, prods)
+    return SubsetProductMap(lam.length, j, dict(zip(
+        combinations(range(1, lam.length + 1), j), _subset_products(lam, j))))

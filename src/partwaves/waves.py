@@ -98,6 +98,13 @@ def _binomial_mix(y):
     return [[math.comb(p, q) * y[p - q] for q in range(p + 1)] for p in range(len(y))]
 
 
+@lru_cache(maxsize=16)
+def _surjections(t_max: int) -> list[list[int]]:
+    """Rows q <= t_max of i! * S(q, i), the surjections of a q-set onto an i-set."""
+    return [[sum((-1) ** k * math.comb(i, k) * (i - k) ** q for k in range(i + 1))
+             for i in range(q + 1)] for q in range(t_max + 1)]
+
+
 def _residue_moments(specs, j: int, t_max: int):
     """row(rho): the power sums of s**t, t = 0..t_max, over the box of
     s = sum(stride_i * t_i), 0 <= t_i < count_i, in the class s = rho mod j,
@@ -111,11 +118,6 @@ def _residue_moments(specs, j: int, t_max: int):
     long parts are multiples of j, so they fold into one residue-free vector
     of power sums, sum(u**q for u < U) = sum_i S(q, i) * i! * C(U, i + 1)
     with S the Stirling numbers of the second kind."""
-    stirling = [[1]]
-    for _ in range(t_max):
-        last = stirling[-1]
-        stirling.append([i * s + prev for i, (s, prev)
-                         in enumerate(zip(last + [0], [0] + last))])
     short_specs, long_sums = [], [1] + [0] * t_max
     for stride, count in specs:
         m = j // math.gcd(stride, j)
@@ -124,10 +126,9 @@ def _residue_moments(specs, j: int, t_max: int):
         if m > 1:
             short_specs.append((stride, m))
         if count > m:
-            basis = [math.factorial(i) * math.comb(count // m, i + 1)
-                     for i in range(t_max + 1)]
+            basis = [math.comb(count // m, i + 1) for i in range(t_max + 1)]
             sums = [(stride * m) ** q * sum(map(mul, numbers, basis))
-                    for q, numbers in enumerate(stirling)]
+                    for q, numbers in enumerate(_surjections(t_max))]
             long_sums = [sum(map(mul, m, sums)) for m in _binomial_mix(long_sums)]
     short, g = _fold(short_specs, j)
     mix = _binomial_mix(long_sums)
@@ -158,16 +159,20 @@ def _denominator(r: int, D: int) -> int:
     return D**r * math.factorial(r - 1)
 
 
+@lru_cache(maxsize=16)
+def _expansion(r: int, D: int) -> tuple[tuple[int, ...], ...]:
+    """Rows m < r: the coefficient of n**m in `_poly_numerators` is row m
+    dotted with the power sums, entry q the weight of the q-th power sum."""
+    return tuple(tuple(stirling_unsigned(r, m + q + 1) * D ** (r - 1 - m - q)
+                       * math.comb(m + q, m) * (-1) ** q for q in range(r - m))
+                 for m in range(r))
+
+
 def _poly_numerators(r: int, D: int, moments) -> list[int]:
     """Expand sum over the box of prod((n-s)/D + ell, ell=1..r-1) / (D*(r-1)!)
     symbolically in n, given the integer power sums of s over the box, as the
     integer numerators of its coefficients over `_denominator(r, D)`."""
-    nums = [0] * r
-    for kk in range(r):
-        st = stirling_unsigned(r, kk + 1) * D ** (r - 1 - kk)
-        for m in range(kk + 1):
-            nums[m] += st * math.comb(kk, m) * (-1) ** (kk - m) * moments[kk - m]
-    return nums
+    return [sum(map(mul, row, moments)) for row in _expansion(r, D)]
 
 
 def polynomial_part_average(a: PartsList) -> RationalPolynomial:
@@ -185,18 +190,20 @@ def polynomial_part_bernoulli(a: PartsList) -> RationalPolynomial:
 
     The weighted sum over compositions of u is the x**u coefficient of the
     product over the parts a_t of sum(B_i * (a_t*x)**i / i!), truncated
-    after degree r-1."""
+    after degree r-1.  Scaled by L, the lcm of the denominators of B_i / i!,
+    the series multiply in integers over L**r, one Fraction per coefficient."""
     parts = a.parts
     r = len(parts)
-    series = [Fraction(1)] + [Fraction(0)] * (r - 1)
+    terms = [bernoulli(i) / math.factorial(i) for i in range(r)]
+    L = math.lcm(*(c.denominator for c in terms))
+    scaled = [c.numerator * (L // c.denominator) for c in terms]
+    series = [1] + [0] * (r - 1)
     for a_t in parts:
-        factor = [bernoulli(i) * a_t**i / math.factorial(i) for i in range(r)]
-        series = [
-            sum(series[i] * factor[u - i] for i in range(u + 1)) for u in range(r)
-        ]
-    scale = math.prod(parts)
+        factor = [c * a_t**i for i, c in enumerate(scaled)]
+        series = [sum(map(mul, series, factor[u::-1])) for u in range(r)]
+    scale = math.prod(parts) * L**r
     return RationalPolynomial([
-        Fraction((-1) ** (r - 1 - m), math.factorial(m) * scale) * series[r - 1 - m]
+        Fraction((-1) ** (r - 1 - m) * series[r - 1 - m], math.factorial(m) * scale)
         for m in range(r)
     ])
 

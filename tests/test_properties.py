@@ -227,6 +227,18 @@ def test_window_polynomial_part_routes_agree(d, k):
     assert poly_part_d_average(d, k) == poly_part_d_bernoulli(d, k)
 
 
+# Up to 14 parts reach B_12, so the Bernoulli route's common denominator
+# takes the von Staudt primes 11 and 13.  Parts up to 30 cap the lcm at
+# lcm(1, ..., 30), about 2.3e12, where one example takes a few milliseconds.
+@settings(deadline=None)
+@given(parts=st.lists(st.integers(1, 30), min_size=1, max_size=14, unique=True))
+@example(parts=list(range(1, 15)))
+@example(parts=list(range(30, 17, -1)))
+def test_general_polynomial_part_routes_agree(parts):
+    a = PartsList(parts)
+    assert polynomial_part_average(a) == polynomial_part_bernoulli(a)
+
+
 @st.composite
 def partitions_and_orders(draw, min_length=2, j_margin=0):
     ell = draw(st.integers(min_length, 12))

@@ -179,7 +179,8 @@ def test_polynomial_part_golden():
 
 
 def test_polynomial_part_routes_agree():
-    for parts in FAMILIES + [(1, 2, 3), (2, 3, 5), (1, 2, 3, 4), (2, 4, 6, 9)]:
+    for parts in FAMILIES + [(1, 2, 3), (2, 3, 5), (1, 2, 3, 4), (2, 4, 6, 9),
+                             tuple(range(1, 14))]:
         a = PartsList(parts)
         assert polynomial_part_average(a) == polynomial_part_bernoulli(a)
 

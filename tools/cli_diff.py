@@ -169,6 +169,12 @@ def argv_list() -> list[list[str]]:
         ["waves", "--parts", "1,2,3,4,5,6", "--n", "200"],
         ["waves", "--parts", "2,3,5,7,11", "--n", "1000"],
     ]
+    # A polynomial part past the r = 8 the benchmark draws: r = 13, where the
+    # Bernoulli route's common denominator takes the von Staudt primes 11 and
+    # 13.
+    large_poly_parts = [
+        ["poly-part", "--parts", ",".join(map(str, range(1, 14))), "--at", "1000000"],
+    ]
     # The literal extraction at larger orders: 15, 21, 35 and 105, where
     # Phi_105 is the first cyclotomic polynomial with a coefficient outside
     # {-1, 0, 1}; 125 on the d = 5 window; and a sweep where at n = 30 the
@@ -308,8 +314,11 @@ def argv_list() -> list[list[str]]:
         ["waves", "--d", "2", "--n", "0"],
     ]
     argvs = [argv + ["--format", fmt]
-             for argv in formatted + folded_scale + literal_orders + dary_route
+             for argv in (formatted + folded_scale + large_poly_parts
+                          + literal_orders + dary_route)
              for fmt in FORMATS]
+    # The d = 3 window at k = 9, r = 10 parts with D = 3**9.
+    argvs.append(["poly-part", "--d", "3", "--k", "9", "--at", "5"])
     argvs += [
         argv + ["--variant", variant, "--format", fmt]
         for argv in wave_commands
