@@ -52,8 +52,8 @@ from .partitions import (
 from .quasipoly import denumerant_formula
 from .reconstruct import (
     InconsistentData,
+    _solve,
     circulant_det_check,
-    reconstruct_exponents,
     verify_uniqueness,
 )
 from .waves import (
@@ -129,12 +129,11 @@ def _emit(record, header, rows, fmt: str) -> None:
 
 def _parse_int_list(text: str, label: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(chunk) for chunk in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError:
         raise ValueError(
             f"{label} must be a comma-separated list of integers, got {text!r}"
         ) from None
-    return values
 
 
 def _index_texts(ell: int, j: int):
@@ -144,12 +143,13 @@ def _index_texts(ell: int, j: int):
 
 
 def _parse_products(text: str, j: int):
-    """The --products map as (length, products by index tuple, echo).
+    """The --products map as (length, its values in `combinations` order, echo).
 
     Canonical text, every index j-tuple in `combinations` order written
-    '%d,...,%d:value' with no spaces (what the echo prints), is read in one
-    pass: its heads are compared with `_index_texts`, never converted, and
-    kept as the echo.  Any other text goes to `_parse_chunks`.
+    '%d,...,%d:value' with no spaces (what the echo prints) and every value
+    positive, is read in one pass: its heads are compared with `_index_texts`,
+    never converted, and kept as the echo, and its values are the list.  Any
+    other text goes to `_parse_chunks` and is validated by `SubsetProductMap`.
     """
     toks = text.replace(";", ":").split(":")
     heads = toks[::2]
@@ -163,12 +163,12 @@ def _parse_products(text: str, j: int):
                 and heads[-1].count(",") == j - 1 and ell - j < n == comb(ell, j)
                 and all(map(eq, heads, _index_texts(ell, j)))):
             values = list(map(int, islice(toks, 1, None, 2)))
-            del toks
-            return (ell, dict(zip(combinations(range(1, ell + 1), j), values)),
-                    dict(zip(heads, values)))
+            if min(values):
+                return ell, values, dict(zip(heads, values))
     except ValueError:
         pass
-    return _parse_chunks(text)
+    ell, products, echo = _parse_chunks(text)
+    return ell, list(SubsetProductMap(ell, j, products).products.values()), echo
 
 
 def _parse_chunks(text: str):
@@ -346,9 +346,8 @@ def _cmd_presym(args):
 
 def _cmd_reconstruct(args):
     d, j = args.d, args.j
-    ell, raw, echo = _parse_products(args.products, j)
-    products = SubsetProductMap(ell, j, raw)
-    mu = reconstruct_exponents(products, d)
+    ell, values, echo = _parse_products(args.products, j)
+    mu = _solve(ell, j, values, d)
     record = {
         "inputs": {
             "d": d,

@@ -11,14 +11,18 @@ sweep `circulant_det_check` checks the system the solver uses: its
 determinant is j, so it pins the exponents down.  It is solved in closed
 form: its first j+1 equations give S - e_t for t = 1..j+1, where
 S = e_1 + ... + e_{j+1}, so S is their sum divided by j, and each sliding
-window then gives one new exponent.  The solution is validated against
-every remaining equation.
+window then gives one new exponent.  The products are one list in
+`combinations` order, with no index tuples: `_solve` reads each subsystem
+tuple at its lex rank and checks the solution against every equation in one
+pass over the j-fold sums of the exponents.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, combinations_with_replacement, compress
+from itertools import (combinations, combinations_with_replacement, compress, count,
+                       islice)
+from math import comb
 from operator import ne
 
 from .dary import DAryPartition, _check_base, exponent_of_power
@@ -129,20 +133,25 @@ def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
     InconsistentData if the first j+1 subsystem equations do not sum to a
     multiple of j, or if the solved exponents are negative, increasing, or
     violate any equation of the full product system."""
+    return _solve(products.length, products.order, list(products.products.values()), d)
+
+
+def _solve(ell: int, j: int, values: list[int], d: int) -> DAryPartition:
+    """`reconstruct_exponents` of the C(ell, j) products `values`, given in
+    `combinations` order: each tuple is read at its lex rank."""
     _check_base(d)
-    ell = products.length
-    j = products.order
     if ell < 2:
         raise ValueError("length must be at least 2")
     if not 1 <= j <= ell - 1:
         raise ValueError(f"reconstruction needs order in 1..{ell - 1}, got {j}")
-    # One exponent_of_power per distinct value, in item order, so that
+    # One exponent_of_power per distinct value, in order, so that
     # NotPowerOfD names the first bad product.
-    values = products.products
-    exponent_of = {
-        value: exponent_of_power(value, d) for value in dict.fromkeys(values.values())
-    }
-    rows = [exponent_of[values[t]] for t in _subsystem_tuples(ell, j)]
+    exponent_of = {value: exponent_of_power(value, d) for value in dict.fromkeys(values)}
+    # The lex rank of (c_0, ..., c_{j-1}) is C(ell, j) - 1 - sum C(ell - c_k, j - k).
+    last = comb(ell, j) - 1
+    ranks = (last - sum(comb(ell - c, j - k) for k, c in enumerate(t))
+             for t in _subsystem_tuples(ell, j))
+    rows = [exponent_of[values[rank]] for rank in ranks]
     # rows[0] is S - e_{j+1} and rows[t] is S - e_t for t = 1..j.
     head = sum(rows[: j + 1])
     total, rem = divmod(head, j)
@@ -159,11 +168,11 @@ def reconstruct_exponents(products: SubsetProductMap, d: int) -> DAryPartition:
     for a, b in zip(exponents, exponents[1:]):
         if a < b:
             raise InconsistentData(f"solved exponents increase: {exponents}")
-    # The map is in combinations order, so its j-fold sums line up with it.
-    violated = next(compress(values, map(
-        ne, map(exponent_of.__getitem__, values.values()),
-        map(sum, combinations(exponents, j)))), None)
-    if violated is not None:
+    # Every j-fold sum in one pass; the violated tuple is built only on failure.
+    at = next(compress(count(), map(ne, map(exponent_of.__getitem__, values),
+                                    map(sum, combinations(exponents, j)))), None)
+    if at is not None:
+        violated = next(islice(combinations(range(1, ell + 1), j), at, None))
         raise InconsistentData(f"product equation violated at indices {violated}")
     return DAryPartition(d, tuple(exponents))
 

@@ -29,6 +29,7 @@ from partwaves.reconstruct import (
     circulant_det_check,
     reconstruct_exponents,
 )
+from partwaves.reconstruct import _subsystem_tuples
 from partwaves.waves import LITERAL, TWISTED, wave_decomposition_check
 
 CLI_DIFF = Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py"
@@ -380,6 +381,13 @@ def _canonical_route(text, j):
     return True
 
 
+def _chunk_route(text, j):
+    """`_parse_products` of the text read chunk by chunk and validated by
+    `SubsetProductMap`, as the CLI reads any text that is not canonical."""
+    ell, raw, echo = cli._parse_chunks(text)
+    return ell, list(SubsetProductMap(ell, j, raw).products.values()), echo
+
+
 PERTURBATIONS = ("space in a head", "leading zero", "two chunks swapped",
                  "one chunk dropped", "one chunk duplicated", "trailing semicolon",
                  "non-numeric value", "separators swapped", "extra colon",
@@ -412,11 +420,11 @@ def test_canonical_products_parse_as_chunk_by_chunk(data, ell, d, fmt, kind):
                                  "--format", "json"])
         table = json.loads(out)["metadata"]["products"]
         assert code == 0 and ";".join(f"{k}:{v}" for k, v in table.items()) == text
-    ell_read, raw, echo = cli._parse_products(text, j)
+    ell_read, read, echo = cli._parse_products(text, j)
     chunk_ell, chunk_raw, chunk_echo = cli._parse_chunks(text)
     assert list(chunk_echo.items()) == list(echo.items())
     assert ell_read == chunk_ell == ell
-    assert list(raw.items()) == list(chunk_raw.items())
+    assert read == list(SubsetProductMap(ell, j, chunk_raw).products.values())
     assert list(echo.items()) == list(zip(cli._index_texts(ell, j), chunk_raw.values()))
 
     spoiled, spoiled_j = _perturb(kind, chunks, j, data.draw)
@@ -425,9 +433,36 @@ def test_canonical_products_parse_as_chunk_by_chunk(data, ell, d, fmt, kind):
     argvs = [["reconstruct", "--products", products, "--d", str(d), "--j", str(order),
               "--format", fmt] for products, order in ((text, j), (spoiled, spoiled_j))]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_parse_products", lambda text, j: cli._parse_chunks(text))
+        mp.setattr(cli, "_parse_products", _chunk_route)
         chunk_by_chunk = [_main_io(argv) for argv in argvs]
     assert [_main_io(argv) for argv in argvs] == chunk_by_chunk
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ell=st.integers(2, 12), d=st.sampled_from((2, 3, 5)))
+def test_canonical_text_with_one_product_times_d_fails_as_the_map(data, ell, d):
+    j = data.draw(st.integers(1, ell - 1))
+    tuples = list(combinations(range(1, ell + 1), j))
+    exponents = sorted(data.draw(st.lists(st.integers(0, 6), min_size=ell,
+                                          max_size=ell)), reverse=True)
+    values = [d ** sum(exponents[i - 1] for i in tup) for tup in tuples]
+    # The first and the last tuple are drawn as often as all others together.
+    at = data.draw(st.sampled_from((0, len(tuples) - 1)) | st.integers(0, len(tuples) - 1))
+    values[at] *= d
+    text = ";".join(_chunks(ell, j, values))
+    assert _canonical_route(text, j)
+    try:
+        mu = reconstruct_exponents(SubsetProductMap(ell, j, dict(zip(tuples, values))), d)
+        expected = (0, "")
+    except InconsistentData as exc:
+        expected = (1, f"partwaves: error: {exc}\n")
+    code, out, err = _main_io(["reconstruct", "--products", text, "--d", str(d),
+                               "--j", str(j), "--format", "json"])
+    assert (code, err) == expected
+    if tuples[at] not in _subsystem_tuples(ell, j):  # the solve reads it only in the check
+        assert err == f"partwaves: error: product equation violated at indices {tuples[at]}\n"
+    if not code:  # one product times d can still be a d-ary map, of one other λ
+        assert json.loads(out)["metadata"]["exponents"] == list(mu.exponents)
 
 
 def test_canonical_route_reads_a_benchmark_sized_map(monkeypatch, capsys):
@@ -438,7 +473,15 @@ def test_canonical_route_reads_a_benchmark_sized_map(monkeypatch, capsys):
         read.append(text)
         return parse_chunks(text)
 
+    built = []
+    init = SubsetProductMap.__init__
+
+    def spy_init(self, length, order, products):
+        built.append((length, order))
+        init(self, length, order, products)
+
     monkeypatch.setattr(cli, "_parse_chunks", spy)
+    monkeypatch.setattr(SubsetProductMap, "__init__", spy_init)
     rng = random.Random(24)
     d, ell, j = 5, 40, 3
     exponents = sorted((rng.randint(0, 12) for _ in range(ell)), reverse=True)
@@ -452,15 +495,24 @@ def test_canonical_route_reads_a_benchmark_sized_map(monkeypatch, capsys):
     assert record["metadata"]["exponents"] == exponents
     assert list(record["inputs"]["products"].items()) == [
         (chunk.partition(":")[0], value) for chunk, value in zip(chunks, values)]
+    assert built == []
+    # The same map with a space after each ';' goes chunk by chunk, through
+    # one map.
+    argv[-1] = "; ".join(chunks)
+    rc, spaced = run_json(capsys, argv)
+    assert (rc, spaced["metadata"], built) == (0, record["metadata"], [(ell, j)])
+    assert read == [argv[-1]]
+    read.clear()
     # One product times d: canonical keys, no solution.
     values[rng.randrange(len(values))] *= d
     with pytest.raises(InconsistentData) as exc:
         reconstruct_exponents(SubsetProductMap(
             ell, j, dict(zip(combinations(range(1, ell + 1), j), values))), d)
+    built.clear()
     argv[-1] = ";".join(_chunks(ell, j, values))
     rc, out, err = run(capsys, argv)
     assert (rc, out, err) == (1, "", f"partwaves: error: {exc.value}\n")
-    assert read == []
+    assert read == [] and built == []
 
 
 def test_verify_circulant(capsys):

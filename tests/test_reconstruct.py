@@ -14,7 +14,7 @@ from partwaves.reconstruct import (
     reconstruct_exponents,
     verify_uniqueness,
 )
-from partwaves.reconstruct import _subsystem_tuples, det_exact
+from partwaves.reconstruct import _solve, _subsystem_tuples, det_exact
 
 PRINTED_6_BY_3 = (
     (1, 0, 1, 1, 0, 0),
@@ -166,6 +166,25 @@ def test_subsystem_is_transpose_of_c_matrix():
                 for tup in _subsystem_tuples(ell, j)
             ]
             assert build_c_matrix(ell, j) == tuple(zip(*columns))
+
+
+class _ReadLog(list):
+    """A list that records the positions read by index."""
+
+    def __getitem__(self, at):
+        self.read.append(at)
+        return super().__getitem__(at)
+
+
+def test_solve_reads_each_subsystem_tuple_at_its_combinations_index():
+    for ell in range(2, 15):
+        exponents = [(ell - i) // 2 for i in range(ell)]
+        for j in range(1, ell):
+            tuples = list(combinations(range(1, ell + 1), j))
+            values = _ReadLog(2 ** sum(exponents[i - 1] for i in tup) for tup in tuples)
+            values.read = []
+            assert _solve(ell, j, values, 2).exponents == tuple(exponents)
+            assert values.read == list(map(tuples.index, _subsystem_tuples(ell, j)))
 
 
 def test_reconstruct_golden():

@@ -71,6 +71,18 @@ def _canonical_edges() -> list[tuple[str, int]]:
     ]
 
 
+def _canonical_defects() -> list[str]:
+    """The canonical text of a full j = 3 map with a defective product: times
+    2 at its first and at its last tuple, and 0 in the middle."""
+    chunks = [chunk.partition(":") for chunk in _full_products(40, 3, 2).split(";")]
+    texts = []
+    for at, factor in ((0, 2), (len(chunks) - 1, 2), (len(chunks) // 2, 0)):
+        head, sep, value = chunks[at]
+        spoiled = chunks[:at] + [(head, sep, str(factor * int(value)))] + chunks[at + 1:]
+        texts.append(";".join(map("".join, spoiled)))
+    return texts
+
+
 def argv_list() -> list[list[str]]:
     """Every argv the comparison runs, in a fixed order."""
     formatted = [
@@ -95,6 +107,8 @@ def argv_list() -> list[list[str]]:
         _reconstruct(_full_products(40, 3, 2), d=2, j=3),
         _reconstruct("2,3:3;1,3:9;1,2:27"),
         _reconstruct(" 1, 02:27;1,3:9;2,3:3"),
+        # A canonical text whose value has a leading zero.
+        _reconstruct("1:08;2:1", d=2, j=1),
         ["verify", "--mode", "circulant", "--n-max", "6"],
         # Uniqueness sweeps with no multiset-only pairs, with 7 (5 of them
         # shown) and with 2.
@@ -228,6 +242,8 @@ def argv_list() -> list[list[str]]:
         _reconstruct("1,2:27;1,3:9;2,3:3", j=0),
         # just off the canonical text, which is read in one pass
         *(_reconstruct(products, d=2, j=j) for products, j in _canonical_edges()),
+        # the canonical text with a product that breaks it
+        *(_reconstruct(products, d=2, j=3) for products in _canonical_defects()),
         # large index, order and product
         _reconstruct("1:2;60:1", d=2, j=30),
         _reconstruct("1:2;1000000000:1", d=2, j=1),
