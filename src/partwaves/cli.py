@@ -532,7 +532,7 @@ def _read_argv(argv):
         for option in options})
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """The argparse parser for an argv `_read_argv` leaves, with all seven
     subcommands, which its help and usage errors list.
 

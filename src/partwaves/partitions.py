@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from collections import deque
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 
 __all__ = [
     "Partition",
@@ -115,38 +114,32 @@ class SubsetProductMap:
             raise ValueError("length must be positive")
         if not 1 <= order <= length:
             raise ValueError(f"order must lie in 1..{length}, got {order}")
-        # One C-level pass converts every index, so a float is refused.
-        deque(map(operator.index, chain.from_iterable(products)), maxlen=0)
+        # Every key is converted before any value, so a float index is refused
+        # first; equal converted keys collapse and the later one wins.
+        keys = [tuple(map(operator.index, key)) for key in products]
         values = list(map(operator.index, products.values()))
         if min(values, default=1) < 1:
             raise ValueError("products must be positive")
+        cleaned = dict(zip(keys, values))
         count = math.comb(length, order)
         # With the sizes equal, the keys are exactly the valid tuples when
-        # filling them into the combinations, in that order, adds no key; an
-        # equal key, such as (True,) or a namedtuple, leaves the int tuple.
+        # filling them into the combinations, in that order, adds no key.
         ordered = {}
-        if len(products) == count:
+        if len(cleaned) == count:
             ordered = dict.fromkeys(combinations(range(1, length + 1), order))
-            ordered.update(zip(products, values))
+            ordered.update(cleaned)
         if len(ordered) != count:
-            # Convert the keys and name the first bad one, 0 < key[0] < ... <
-            # key[-1] < length + 1, checked one by one, so a map of the wrong
-            # size never builds C(length, order) tuples.  Keys that are all
-            # valid once converted, C(length, order) of them, fill the map.
-            cleaned = {}
-            for key, value in zip(products, values):
-                key = tuple(map(operator.index, key))
+            # Name the first bad key, 0 < key[0] < ... < key[-1] < length + 1,
+            # checked one by one, so a map of the wrong size never builds
+            # C(length, order) tuples; with none bad, the count is wrong.
+            for key in keys:
                 bounded = (0, *key, length + 1)
                 if len(key) != order or any(a >= b for a, b in zip(bounded, bounded[1:])):
                     raise ValueError(
                         f"index tuple {key} is not an increasing {order}-tuple "
                         f"of 1..{length}"
                     )
-                cleaned[key] = value
-            if len(cleaned) != count:
-                raise ValueError(f"expected {count} index tuples, got {len(cleaned)}")
-            ordered = {key: cleaned[key]
-                       for key in combinations(range(1, length + 1), order)}
+            raise ValueError(f"expected {count} index tuples, got {len(cleaned)}")
         self.length, self.order, self.products = length, order, ordered
 
     def items(self):

@@ -2,9 +2,12 @@
 defines it, the package re-exports those lists in module order, and importing
 it loads neither `dataclasses` nor `inspect`."""
 
+import importlib
 import inspect
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import partwaves
@@ -43,3 +46,35 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def _defined_objects():
+    """Every function, class and method (property getters included) that a
+    `partwaves` module defines."""
+    for info in pkgutil.iter_modules(partwaves.__path__):
+        module = importlib.import_module(f"partwaves.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                yield obj
+                for attr in vars(obj).values():
+                    attr = getattr(attr, "fget", attr)
+                    if inspect.isfunction(attr):
+                        yield attr
+            elif inspect.isfunction(obj):
+                yield obj
+
+
+def test_every_annotation_resolves():
+    # Under `from __future__ import annotations` a name that a module imports
+    # only inside a function leaves an annotation no caller can resolve.
+    objects = list(_defined_objects())
+    assert len(objects) > 100
+    unresolved = []
+    for obj in objects:
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{obj.__module__}.{obj.__qualname__}: {exc}")
+    assert unresolved == []

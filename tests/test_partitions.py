@@ -270,8 +270,8 @@ def test_subset_product_map_converts_keys_that_are_not_plain_ints():
     spm = SubsetProductMap(3, 2, {(1, 2): 6, pair(1, 3): 3, (2, 3): 2})
     assert [type(key) for key, _ in spm.items()] == [tuple] * 3
 
-    # An index with only __index__ hashes unlike its int, so its key misses
-    # the combinations and is converted one by one.
+    # An index with only __index__ hashes unlike its int; its key is
+    # converted with every other before the map is filled.
     class Index:
         def __init__(self, value):
             self.value = value

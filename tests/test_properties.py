@@ -270,9 +270,9 @@ def test_one_corrupted_product_is_inconsistent(case, data):
 
 
 def reference_subset_product_map(length, order, products):
-    """`SubsetProductMap`'s checks as they stood before its combinations
-    pass, kept to pin their precedence: values, then each key on its own,
-    then the count."""
+    """`SubsetProductMap`'s checks item by item, with no `combinations`
+    fill, kept to pin their precedence: every key and value converted, then
+    values, then each key on its own, then the count."""
     cleaned = {tuple(map(operator.index, key)): operator.index(value)
                for key, value in products.items()}
     if any(value < 1 for value in cleaned.values()):
@@ -292,8 +292,19 @@ def reference_subset_product_map(length, order, products):
     return {key: cleaned[key] for key in combinations(range(1, length + 1), order)}
 
 
-CORRUPTIONS = ("none", "drop", "add", "replace", "zero", "float")
+CORRUPTIONS = ("none", "drop", "add", "replace", "zero", "float", "float index",
+               "index-like key")
 STRAYS = ("descending", "repeated", "below", "above", "longer", "shorter")
+
+
+class _Index:
+    """An int seen only through `__index__`; it hashes unlike the int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 def _corrupt(draw, items, corruption, ell, j):
@@ -306,6 +317,14 @@ def _corrupt(draw, items, corruption, ell, j):
     elif corruption in ("zero", "float"):
         key, value = items[at]
         items[at] = (key, 0 if corruption == "zero" else float(value))
+    elif corruption == "float index" and items[at][0]:
+        key, value = items[at]
+        i = draw(st.integers(0, len(key) - 1))
+        items[at] = (key[:i] + (float(int(key[i])),) + key[i + 1:], value)
+    elif corruption == "index-like key":
+        key, value = items[at]
+        # int() first, so a float or an `_Index` is wrapped as its int
+        items[at] = (tuple(_Index(int(i)) for i in key), value)
     elif corruption in ("add", "replace"):
         base = list(draw(st.sampled_from(list(combinations(range(1, ell + 1), j)))))
         stray = draw(st.sampled_from(STRAYS if j > 1 else STRAYS[2:]))
@@ -332,8 +351,9 @@ def _corrupt(draw, items, corruption, ell, j):
 def corrupted_maps(draw):
     """A complete product map with ell <= 7, its items shuffled, then one
     corruption, or two so that their checks compete: a dropped key, a stray
-    key added or put in the place of a valid one, or a value made 0 or a
-    float."""
+    key added or put in the place of a valid one, a value made 0 or a
+    float, one index of a key made a float, or a key's indices wrapped in
+    `_Index`."""
     ell = draw(st.integers(1, 7))
     j = draw(st.integers(1, ell))
     keys = list(combinations(range(1, ell + 1), j))

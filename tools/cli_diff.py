@@ -234,6 +234,11 @@ def argv_list() -> list[list[str]]:
         # the right number of keys, one of them bad: the per-key check names it
         _reconstruct("1,2:27;2,1:9;1,3:3"),
         _reconstruct("1,2:27;1,3:9;2,3:3; 1, 2:27"),
+        # the order of refusals: a zero value before and after a stray key,
+        # and a stray key on a map of the wrong size
+        _reconstruct("1,2:27;1,3:0;2,1:5"),
+        _reconstruct("2,1:5;1,2:27;1,3:0"),
+        _reconstruct("2,1:9;1,2:27"),
         _reconstruct("1,2:27;1,3:9;x"),
         _reconstruct("1,2:27;1,3:nine;2,3:3"),
         _reconstruct(";;"),
