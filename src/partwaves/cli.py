@@ -114,14 +114,19 @@ def _emit(record, header, rows, fmt: str) -> None:
 
     The table builders hand over cells that csv renders as `_scalar` would:
     ints, Fractions, strings, and None for an empty cell (booleans and lists
-    are formatted when the table is built).  So the csv table goes out in
-    one `writerows` pass, with no cell converted here."""
+    are formatted when the table is built).  A list of rows goes out in one
+    `writerows` pass; a wave table one n at a time by the two routes of
+    `_wave_terms`: csv text, written as it is, or rows for `writerows`."""
     if fmt == "json":
         print(json.dumps(record, separators=(",", ":"), default=_json_fraction))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        for block in [rows] if isinstance(rows, list) else rows:
+            if isinstance(block, str):
+                sys.stdout.write(block)
+            else:
+                writer.writerows(block)
     else:
         for line in _text_lines(record):
             print(line)
@@ -272,20 +277,28 @@ def _cmd_poly_part(args):
 
 def _wave_terms(ns, divisors, den, rows, expected, records):
     """Table rows n, j, value or error, sum, oracle, agreement per wave term,
-    from the numerators `rows` over den at `ns`, made only as csv reads them.
+    from the numerators `rows` over den at `ns`, one n at a time as csv reads
+    them.
 
-    A row with a `_wave_row` record in `records` (every failed row has one) is
-    written from it; any other row agrees, and a term p is written as p // g
-    or (p // g)/(den // g), g = gcd(p, den), as str(Fraction(p, den)) is."""
+    An n with a `_wave_row` record in `records` (every failed n has one)
+    comes as rows of cells, for csv to quote their error texts.  Any other n
+    agrees: its cells are digits, '-', '/' and 'true', which csv never
+    quotes, so its csv lines come as one joined text, a term p written as
+    p // g or (p // g)/(den // g), g = gcd(p, den), as str(Fraction(p, den)) is."""
     records = {row.n: row for row in records}
+    over = {den: ""}  # "/(den // g)" for each g met so far, none at g = den
     for n, nums, want in zip(ns, rows, expected):
         if row := records.get(n):
-            yield from [[n, t.j, t.error if t.value is None else t.value,
-                         _scalar(row.total), want, _scalar(row.ok)] for t in row.terms]
+            yield [[n, t.j, t.error if t.value is None else t.value,
+                    _scalar(row.total), want, _scalar(row.ok)] for t in row.terms]
         else:
-            yield from [[n, j, p // g if g == den else f"{p // g}/{den // g}",
-                         want, want, "true"]
-                        for j, p, g in zip(divisors, nums, map(gcd, nums, repeat(den)))]
+            tail, lines = f",{want},{want},true\n", []
+            for j, p in zip(divisors, nums):
+                g = gcd(p, den)
+                if g not in over:
+                    over[g] = f"/{den // g}"
+                lines.append(f"{n},{j},{p // g}{over[g]}{tail}")
+            yield "".join(lines)
 
 
 def _cmd_waves(args):

@@ -6,6 +6,8 @@ import contextlib
 import importlib.util
 import io
 import json
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,3 +66,15 @@ def test_every_operation_is_read_without_argparse(name):
         args = cli._read_argv(argv)
         assert args is not None, argv
         assert vars(args) == vars(parser.parse_args(argv))
+
+
+def test_profile_ops_times_and_profiles_a_workload():
+    # tools/profile_ops.py runs the first operations of a stream in process
+    # and prints their ms/op and a cProfile table.
+    proc = subprocess.run([sys.executable, str(BENCH.parent / "tools" / "profile_ops.py"),
+                           "--workload", "wave-sweep", "--ops", "2"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, *rest = proc.stdout.splitlines()
+    assert re.fullmatch(r"wave-sweep seed 1: 2 ops, \d+\.\d{3} ms/op \(best of 5\)", first)
+    assert any("cli.py" in line and "(main)" in line for line in rest)

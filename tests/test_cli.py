@@ -612,6 +612,9 @@ def _per_cell_csv(header, rows):
     # none (j = 3, 5, 7)
     ("1,2", 12, LITERAL),
     ("3,5,7", 12, LITERAL),
+    # benchmark-sized sweeps: lcm 60 and 24, 6 waves, negative terms
+    ("2,3,4,5,6,12", 200, TWISTED),
+    ("1,2,3,4,6,8", 116, TWISTED),
 ])
 def test_sweep_csv_equals_the_per_cell_rendering(capsys, parts, n_max, variant):
     a = PartsList(tuple(map(int, parts.split(","))))

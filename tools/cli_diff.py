@@ -362,6 +362,17 @@ def argv_list() -> list[list[str]]:
     argvs += [["verify", "--mode", "waves", "--parts", "2,3,4,5,6,12",
                "--n-max", "200", "--format", "csv"],
               ["verify", "--mode", "circulant", "--n-max", "18", "--format", "csv"]]
+    # Both csv row routes of a waves table: literal sweeps whose odd-n rows
+    # fail (the literal j = 2 wave does not flip sign) between agreeing rows,
+    # a sweep over den = 1, where every term is an integer, and a failing
+    # one-row table.
+    argvs += [["verify", "--mode", "waves", "--parts", parts, "--n-max", n_max,
+               *variant, "--format", "csv"]
+              for parts, n_max, variant in (("1,2", "9", ("--variant", "literal")),
+                                            ("2", "5", ("--variant", "literal")),
+                                            ("1", "0", ()))]
+    argvs.append(["waves", "--parts", "1,2", "--n", "3", "--variant", "literal",
+                  "--format", "csv"])
     # Waves evaluated as one column per residue class: a sweep with fewer n
     # than its largest divisor, so some classes of j = 12 are never reached,
     # in both variants; a table at n = 0; and the largest sweeps the
