@@ -9,7 +9,7 @@ partition from positional products, and bulk verification sweeps.
 Output formats: ``text`` (key: value lines), ``json`` (one compact object),
 ``csv`` (one table).  Exit codes: 0 on success, 1 when a verification fails
 or the data is defective (irrational extraction, value not a power of d,
-inconsistent products), 2 for usage errors.
+inconsistent products), 2 for usage errors and when memory runs out.
 
 Each command's options are declared once, in `_COMMANDS`.  A well-formed
 argv, `command --flag value ...`, is read from that table directly, without
@@ -580,7 +580,8 @@ def main(argv=None) -> int:
     such as help, a usage error or '--n=8', is parsed by the full argparse
     parser of `_build_parser`.  A value with more digits than Python's
     int-to-str limit allows exits 2, as a usage error does, with the limit's
-    message; only csv may have written the first lines of its table.
+    message; only csv may have written the first lines of its table.  An
+    input whose computation runs out of memory also exits 2, with one line.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -605,6 +606,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"{_PROG}: error: out of memory", file=sys.stderr)
         return 2
     return code
 

@@ -14,7 +14,7 @@ the literal variant also keeps a defective reading of the window sum in
 which the last summand repeats the next-to-last variable with stride
 d**(k-1) and the final variable never enters the sum (for k >= 2); it is
 retained for audit only.  `_window_specs` gives that defective list of
-(stride, count) box specs, or else the plain box, to `waves._build_wave`."""
+(stride, count) box specs, or else the plain box, to `waves._cell`."""
 
 from __future__ import annotations
 
@@ -30,10 +30,8 @@ from .waves import (
     LITERAL,
     NotDivisor,
     _box_specs,
-    _build_wave,
     _cell,
     _check_variant,
-    _denominator,
     polynomial_part_average,
     polynomial_part_bernoulli,
 )
@@ -182,8 +180,7 @@ def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
     period = d**k
     if period % j:
         raise NotDivisor(f"{j} does not divide {d}**{k}")
-    return _cell(_build_wave(k + 1, period, j, _window_specs(d, k, variant), variant),
-                 n, _denominator(k + 1, period))
+    return _cell(k + 1, period, j, _window_specs(d, k, variant), variant, n)
 
 
 def poly_part_d_average(d: int, k: int) -> RationalPolynomial:

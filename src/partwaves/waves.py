@@ -5,7 +5,7 @@ The count p_a(n) splits as a sum of waves W_j(n) over the distinct divisors
 j of the entries of `a`; W_1 is the polynomial part.  The box-tuple sums are
 split into congruence classes modulo j, each class is expanded into a
 polynomial in n, and the classes are combined with a weight per class; a
-wave is built once, as a column over a range of n.  A class enters only
+wave is evaluated over a range of n in one call.  A class enters only
 through the power sums of its box sums, which `_residue_moments` gets from
 `quasipoly._fold`, the formula's gcd-ordered fold, of at most
 sum(lcm(a_i, j)) values, not from the box; a twisted wave reads at most
@@ -19,7 +19,7 @@ Two weightings are exposed:
   the Ramanujan sum c_j(ell - n), an integer that depends on n only through
   n mod j, so the wave is a period-j quasi-polynomial of degree r - 1, kept
   as integer numerators over D**r * (r-1)!, one denominator for all waves of
-  `a`, one polynomial per residue class of n, evaluated as one column.  A
+  `a`, one polynomial per residue class of n, evaluated slice by slice.  A
   Fraction is made only in library returns and failure records; the sweep
   prints reduced numerator pairs.  These waves sum to p_a(n) exactly.
 * "literal": class ell is weighted by the bare power rho_j**ell.  Kept
@@ -231,9 +231,9 @@ def _ramanujan_weights(j: int) -> list[tuple[int, int]]:
             for m in range(j // s)]
 
 
-def _build_wave(r: int, D: int, j: int, specs, variant: str):
-    """The wave from the (stride, count) box specs as a column: a range `ns`
-    to the list of the wave's integer numerators over `_denominator(r, D)`.
+def _build_wave(r: int, D: int, j: int, specs, variant: str, ns) -> list:
+    """The wave from the (stride, count) box specs over the range `ns`: the
+    list of its integer numerators over `_denominator(r, D)`, one per n.
 
     Class ell modulo j expands, via `_poly_numerators`, to a polynomial in n.
     The twisted weight c_j(ell - n) depends on n only through n mod j, so the
@@ -245,39 +245,35 @@ def _build_wave(r: int, D: int, j: int, specs, variant: str):
     row = _residue_moments(specs, j, r - 1)
     if variant == TWISTED:
         deltas, weights = zip(*_ramanujan_weights(j))
-
-        def column(ns) -> list[int]:
-            out = [0] * len(ns)
-            for c in range(min(j, len(ns))):
-                at = ns[c::j]
-                acc = [0] * len(at)
-                by_power = zip(*(row((at[0] + delta) % j) for delta in deltas))
-                for coef in reversed(_poly_numerators(r, D, [
-                        sum(map(mul, weights, sums)) for sums in by_power])):
-                    acc = list(map(add, map(mul, acc, at), repeat(coef)))
-                out[c::j] = acc
-            return out
-
-        return column
+        out = [0] * len(ns)
+        for c in range(min(j, len(ns))):
+            at = ns[c::j]
+            acc = [0] * len(at)
+            by_power = zip(*(row((at[0] + delta) % j) for delta in deltas))
+            for coef in reversed(_poly_numerators(r, D, [
+                    sum(map(mul, weights, sums)) for sums in by_power])):
+                acc = list(map(add, map(mul, acc, at), repeat(coef)))
+            out[c::j] = acc
+        return out
     classes = [_poly_numerators(r, D, row(rho)) for rho in range(j)]
     unit = D ** (r - 1)
-
-    def at(n: int):
+    out = []
+    for n in ns:
         try:
-            return int(CyclotomicNumber(
-                j, [Fraction(_horner(c, n), unit) for c in classes]).to_rational() * unit)
+            out.append(int(CyclotomicNumber(
+                j, [Fraction(_horner(c, n), unit) for c in classes]).to_rational() * unit))
         except NotRational as exc:
-            return exc
+            out.append(exc)
+    return out
 
-    return lambda ns: list(map(at, ns))
 
-
-def _cell(column, n: int, den: int) -> Fraction:
-    """The value at n of a wave column over den; raises its cell's NotRational."""
-    (num,) = column(range(n, n + 1))
+def _cell(r: int, D: int, j: int, specs, variant: str, n: int) -> Fraction:
+    """The wave of `_build_wave` at the one n, over `_denominator(r, D)`;
+    raises its NotRational when the extraction fails."""
+    (num,) = _build_wave(r, D, j, specs, variant, range(n, n + 1))
     if isinstance(num, NotRational):
         raise num
-    return Fraction(num, den)
+    return Fraction(num, _denominator(r, D))
 
 
 def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
@@ -293,9 +289,7 @@ def wave(j: int, a: PartsList, n: int, variant: str = DEFAULT_VARIANT) -> Fracti
         raise ValueError("n must be non-negative")
     if all(p % j for p in a.parts):
         raise NotDivisor(f"{j} divides no entry of {a.parts}")
-    r = len(a.parts)
-    return _cell(_build_wave(r, a.D, j, _box_specs(a), variant), n,
-                 _denominator(r, a.D))
+    return _cell(len(a.parts), a.D, j, _box_specs(a), variant, n)
 
 
 # A term's value is None when its extraction failed; error then says why.
@@ -321,10 +315,10 @@ def _wave_row(n: int, divisors, nums, expected: int, den: int) -> WaveCheckRow:
 def _wave_rows(a: PartsList, specs, ns, variant: str):
     """(divisors, den, rows): `divisor_set(a)`, the waves' denominator and,
     per n of the range `ns`, the numerators at n of the waves in ascending j,
-    each wave one `_build_wave` column from the box `specs`."""
+    each wave one `_build_wave` call over `ns` from the box `specs`."""
     divisors = divisor_set(a)
     r = len(a.parts)
-    columns = [_build_wave(r, a.D, j, specs, variant)(ns) for j in divisors]
+    columns = [_build_wave(r, a.D, j, specs, variant, ns) for j in divisors]
     return divisors, _denominator(r, a.D), list(zip(*columns))
 
 

@@ -78,3 +78,29 @@ def test_profile_ops_times_and_profiles_a_workload():
     first, *rest = proc.stdout.splitlines()
     assert re.fullmatch(r"wave-sweep seed 1: 2 ops, \d+\.\d{3} ms/op \(best of 5\)", first)
     assert any("cli.py" in line and "(main)" in line for line in rest)
+
+
+def test_bench_pairs_summarizes_medians_spreads_and_wins():
+    # tools/bench_pairs.py prints, per end-to-end metric, each side's median
+    # and quartile spread and the pairs the change won, by the metric's sense.
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", BENCH.parent / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def result(p50, ops):
+        return {"correct": True, "attempted": 100, "failed": 0, "metrics": {
+            "op_p50_ms": {"value": p50, "unit": "ms"},
+            "ops_per_s": {"value": ops, "unit": "1/s"}}}
+
+    pairs = [{"parent": result(2.0, 300), "change": result(1.0, 310)},
+             {"parent": result(3.0, 320), "change": result(4.0, 300)},
+             {"parent": result(4.0, 340), "change": result(2.0, 350)}]
+    metrics = [{"name": "op_p50_ms", "unit": "ms", "better": "lower"},
+               {"name": "ops_per_s", "unit": "1/s", "better": "higher"}]
+    assert bench_pairs.summarize(pairs, metrics) == [
+        "op_p50_ms [ms, lower is better]: parent 3 (q3-q1 1), change 2 (q3-q1 1.5); "
+        "change better in 2/3 pairs",
+        "ops_per_s [1/s, higher is better]: parent 320 (q3-q1 20), change 310 "
+        "(q3-q1 25); change better in 2/3 pairs",
+    ]

@@ -98,6 +98,17 @@ def test_dp_oracle_refuses_n_past_sys_maxsize(capsys):
                    "exceed sys.maxsize\n")
 
 
+def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    # An input too large for memory but under every refusal is not a failed
+    # check (exit 1) and prints no traceback.
+    def exhausted(a, n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "denumerant_dp", exhausted)
+    rc, out, err = run(capsys, ["count", "--parts", "2,3,5,7", "--n", "300000000"])
+    assert (rc, out, err) == (2, "", "partwaves: error: out of memory\n")
+
+
 def test_formula_refuses_a_fold_past_sys_maxsize():
     # The window (1, 2, ..., 2**99) would fold 10**30 // 2 + 1 sums.  The
     # refusal must come before the fold allocates, so the call runs under a

@@ -195,14 +195,13 @@ def test_sweep_rows_keep_their_invariants(parts, n_max, variant, data):
         data.draw(st.sampled_from(divisor_set(a))), data.draw(st.integers(0, n_max)),
         data.draw(st.integers(-3, 3)))
 
-    def shifted(r, D, j, specs, variant):
-        column = build(r, D, j, specs, variant)
+    def shifted(r, D, j, specs, variant, ns):
+        nums = build(r, D, j, specs, variant, ns)
         if j != shift[0]:
-            return column
+            return nums
         # a literal cell that failed its extraction stays failed
-        return lambda ns: [num if isinstance(num, NotRational)
-                           else num + shift[2] * (n == shift[1])
-                           for n, num in zip(ns, column(ns))]
+        return [num if isinstance(num, NotRational) else num + shift[2] * (n == shift[1])
+                for n, num in zip(ns, nums)]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(waves, "_build_wave", shifted)

@@ -433,6 +433,13 @@ def test_twisted_wave_reads_at_most_rad_j_rows(monkeypatch):
         assert len(read) == rows
 
 
+def _wave_or_message(j, a, n, variant):
+    try:
+        return wave(j, a, n, variant)
+    except NotRational as exc:
+        return str(exc)
+
+
 @settings(deadline=None, max_examples=30)
 @given(parts=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True),
        data=st.data())
@@ -444,15 +451,18 @@ def test_built_wave_keeps_each_class_apart(parts, data):
     specs = [(p, a.D // p) for p in parts]
     den = a.D**r * math.factorial(r - 1)
     want = partial_fraction_waves(parts, 3 * max(parts))
-    for j in divisor_set(a):
-        column = waves._build_wave(r, a.D, j, specs, TWISTED)
-        # one column read over ranges that start at every residue, some of
-        # them shorter than j: each slice must take its own class's polynomial
+    for variant, j in product((TWISTED, LITERAL), divisor_set(a)):
+        # one wave built over ranges that start at every residue, some of them
+        # shorter than j: each slice must take its own class's polynomial, and
+        # each literal cell its own extraction, a NotRational by its message
         for lo in range(j):
             lo += j * data.draw(st.integers(0, 1))
             ns = range(lo, lo + data.draw(st.integers(1, j + 1)))
-            assert [Fraction(num, den) for num in column(ns)] == [
-                wave(j, a, n) for n in ns] == [want[j][n] for n in ns]
+            cells = [str(num) if isinstance(num, NotRational) else Fraction(num, den)
+                     for num in waves._build_wave(r, a.D, j, specs, variant, ns)]
+            assert cells == [_wave_or_message(j, a, n, variant) for n in ns]
+            if variant == TWISTED:
+                assert cells == [want[j][n] for n in ns]
 
 
 @st.composite
@@ -482,11 +492,11 @@ def test_integer_sums_catch_a_moved_unit(a, n_max, data):
     shifted_n = data.draw(st.integers(0, n_max))
     build = waves._build_wave
 
-    def shifted(r, D, j, specs, variant):
-        column = build(r, D, j, specs, variant)
+    def shifted(r, D, j, specs, variant, ns):
+        nums = build(r, D, j, specs, variant, ns)
         if j != shifted_j:
-            return column
-        return lambda ns: [num + (n == shifted_n) for n, num in zip(ns, column(ns))]
+            return nums
+        return [num + (n == shifted_n) for n, num in zip(ns, nums)]
 
     parts = ",".join(map(str, a.parts))
     sweep = io.StringIO()
