@@ -32,9 +32,7 @@ from types import SimpleNamespace
 
 from .dary import (
     NotPowerOfD,
-    _powers_list,
-    _window_k,
-    _window_specs,
+    _window,
     count_dary,
     poly_part_d_average,
     poly_part_d_bernoulli,
@@ -231,8 +229,7 @@ def _cmd_count(args):
 
 def _cmd_dary_count(args):
     d, n = args.d, args.n
-    k = _window_k(d, n)
-    window = _powers_list(d, k)
+    k, window, _ = _window(d, n)
     return _count({"d": d, "n": n}, {"k": k, "parts": list(window.parts)},
                   {"d": d, "n": n, "k": k},
                   count_dary(d, n), denumerant_dp(window, n))
@@ -316,9 +313,7 @@ def _cmd_waves(args):
         if args.d is None:
             raise ValueError("need --parts or --d")
         d = args.d
-        k = _window_k(d, n)
-        a = _powers_list(d, k)
-        specs = _window_specs(d, k, args.variant)
+        k, a, specs = _window(d, n, args.variant)
         inputs = {"d": d, "n": n}
         extra = {"k": k, "D": a.D}
     divisors, den, (nums,) = _wave_rows(a, specs, range(n, n + 1), args.variant)

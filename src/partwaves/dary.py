@@ -3,17 +3,17 @@ ordinary partitions, and the window formulas for counting, waves, and the
 polynomial part.
 
 For n below d**(k+1) a partition into powers of d only uses the parts
-1, d, ..., d**k, so with window k = floor(log_d(n)), or k = 0 at n = 0
-(`_window_k`), the count, its waves and its polynomial part are the general
-ones of the parts list (1, d, ..., d**k), period D = d**k; `_powers_list`
-checks the base and k and builds that window, and the functions here call
-the general routes on it.
+1, d, ..., d**k, so with window k = floor(log_d(n)), or k = 0 at n = 0, the
+count, its waves and its polynomial part are the general ones of the parts
+list (1, d, ..., d**k), period D = d**k.  `_window` turns (d, n) into that
+window once, and `_powers_list` builds it from k for the polynomial part;
+the functions here call the general routes on it.
 
 The same variant switch as in `waves` applies here.  Besides the weighting,
 the literal variant also keeps a defective reading of the window sum in
 which the last summand repeats the next-to-last variable with stride
 d**(k-1) and the final variable never enters the sum (for k >= 2); it is
-retained for audit only.  `_window_specs` gives that defective list of
+retained for audit only.  `_window` gives that defective list of
 (stride, count) box specs, or else the plain box, to `waves._cell`."""
 
 from __future__ import annotations
@@ -134,19 +134,26 @@ def integer_log(d: int, n: int) -> int:
     return k
 
 
-def _window_k(d: int, n: int) -> int:
-    """The window k = floor(log_d(n)) of n, and k = 0 for n = 0."""
-    k = integer_log(d, max(n, 1))
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return k
-
-
 def _powers_list(d: int, k: int) -> PartsList:
     _check_base(d)
     if k < 0:
         raise ValueError("window k must be non-negative")
     return PartsList(tuple(d**i for i in range(k + 1)))
+
+
+def _window(d: int, n: int, variant: str = DEFAULT_VARIANT):
+    """(k, parts, specs): the window k = floor(log_d(n)) of n (k = 0 for
+    n = 0), its parts list (1, d, ..., d**k), and its box specs: the
+    defective window sum of the module docstring for the literal variant at
+    k >= 2, else the plain box."""
+    k = integer_log(d, max(n, 1))
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    parts = _powers_list(d, k)
+    if variant == LITERAL and k >= 2:
+        specs = [(d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k - 1)]
+        return k, parts, specs + [(d ** (k - 2) + d ** (k - 1), d * d), (0, d)]
+    return k, parts, _box_specs(parts)
 
 
 def count_dary(d: int, n: int) -> int:
@@ -155,32 +162,22 @@ def count_dary(d: int, n: int) -> int:
 
     A wider window gives the same count (window stability); that is a
     tested property, not a parameter."""
-    return denumerant_formula(_powers_list(d, _window_k(d, n)), n)
-
-
-def _window_specs(d: int, k: int, variant: str) -> list[tuple[int, int]]:
-    """The box specs of window k: the defective window sum of the module
-    docstring for the literal variant at k >= 2, else the plain box."""
-    if variant == LITERAL and k >= 2:
-        specs = [(d ** (i - 1), d ** (k + 1 - i)) for i in range(1, k - 1)]
-        return specs + [(d ** (k - 2) + d ** (k - 1), d * d), (0, d)]
-    return _box_specs(_powers_list(d, k))
+    return denumerant_formula(_window(d, n)[1], n)
 
 
 def wave_d(j: int, d: int, n: int, variant: str = DEFAULT_VARIANT) -> Fraction:
-    """The j-th Sylvester wave of the d-ary count, built from `_window_specs`.
+    """The j-th Sylvester wave of the d-ary count, on the specs of `_window`.
 
     Requires j to divide d**k for the window k of `count_dary`; equals
     `wave(j, (1, d, ..., d**k), n)` under the same variant, except for the
     defective literal reading when k >= 2."""
     _check_variant(variant)
-    k = _window_k(d, n)
+    k, parts, specs = _window(d, n, variant)
     if j < 1:
         raise ValueError("wave index must be positive")
-    period = d**k
-    if period % j:
+    if parts.D % j:
         raise NotDivisor(f"{j} does not divide {d}**{k}")
-    return _cell(k + 1, period, j, _window_specs(d, k, variant), variant, n)
+    return _cell(k + 1, parts.D, j, specs, variant, n)
 
 
 def poly_part_d_average(d: int, k: int) -> RationalPolynomial:

@@ -6,6 +6,7 @@ import pytest
 from partwaves.dary import (
     DAryPartition,
     NotPowerOfD,
+    _window,
     count_dary,
     exp_d,
     exponent_of_power,
@@ -19,6 +20,7 @@ from partwaves.partitions import Partition, PartsList, SubsetProductMap, denumer
 from partwaves.quasipoly import denumerant_formula
 from partwaves.waves import (
     LITERAL,
+    TWISTED,
     NotDivisor,
     divisor_set,
     polynomial_part_average,
@@ -26,6 +28,7 @@ from partwaves.waves import (
     wave,
 )
 from test_partitions import enumerate_restricted
+from test_waves import defective_window_specs
 
 
 def window(d, k):
@@ -138,6 +141,22 @@ def test_count_dary_validation():
         count_dary(2, -1)
     with pytest.raises(ValueError):
         count_dary(1, 5)
+
+
+def test_window_is_k_parts_and_specs():
+    for d in (2, 3, 5):
+        for n in range(d**4 + 1):
+            k = integer_log(d, max(n, 1))
+            parts = window(d, k)
+            box = [(p, parts.D // p) for p in parts.parts]
+            assert _window(d, n) == _window(d, n, TWISTED) == (k, parts, box)
+            literal = defective_window_specs(d, k) if k >= 2 else box
+            assert _window(d, n, LITERAL) == (k, parts, literal)
+    # the base is refused before a negative n
+    with pytest.raises(ValueError, match="base must be at least 2"):
+        _window(1, -1)
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        _window(2, -1)
 
 
 def test_wave_d_golden():

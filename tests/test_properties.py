@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from partwaves.cli import main
 from partwaves.dary import (
     DAryPartition,
-    _powers_list,
-    _window_k,
+    _window,
     poly_part_d_average,
     poly_part_d_bernoulli,
     wave_d,
@@ -171,7 +170,7 @@ def test_sweep_terms_are_single_waves(parts, n_max, variant, d):
     assert record["metadata"]["oracle"] == row.expected
     assert (code, record["agreement"]) == (0 if row.ok else 1, row.ok)
     code, record = _waves_json("--d", d, "--n", n_max, "--variant", variant)
-    window = _powers_list(d, _window_k(d, n_max))
+    window = _window(d, n_max)[1]
     terms = [(j, _value_or_error(wave_d, j, d, n_max, variant))
              for j in divisor_set(window)]
     assert _table_terms(record) == terms

@@ -214,6 +214,15 @@ def argv_list() -> list[list[str]]:
         *(["waves", "--d", d, "--n", n, "--variant", "literal"]
           for d, n in (("2", "1"), ("3", "8"), ("3", "9"))),
     ]
+    # The order of the window's refusals (the base before a negative n) in
+    # both commands that build a window, and d = 2's first defective window.
+    window_refusals = [
+        ["dary-count", "--d", "2", "--n", "-1"],
+        ["dary-count", "--d", "1", "--n", "-1"],
+        ["waves", "--d", "1", "--n", "-1"],
+        ["waves", "--d", "2", "--n", "-1", "--variant", "literal"],
+        ["waves", "--d", "2", "--n", "4", "--variant", "literal", "--format", "csv"],
+    ]
     failing = [
         # not a power of d
         _reconstruct("1,2:27;1,3:9;2,3:3", d=2),
@@ -223,6 +232,10 @@ def argv_list() -> list[list[str]]:
         _reconstruct("1,2:1;1,3:1;2,3:4", d=2),
         _reconstruct("1,2:2;1,3:2;2,3:4", d=2),
         _reconstruct("1,2:8;1,3:4;1,4:2;2,3:4;2,4:4;3,4:1", d=2),
+        # a product off the subsystem the solve reads, (1, 4) scaled by d:
+        # only the full check of every equation sees it, on either route
+        _reconstruct("1,2:8;1,3:8;1,4:8;2,3:4;2,4:2;3,4:2", d=2),
+        _reconstruct("1,4:8;1,2:8;1,3:8;2,3:4;2,4:2;3,4:2", d=2),
         # malformed products
         _reconstruct("1,2:27"),
         _reconstruct("1,2:27;1,3:9;2,3:0"),
@@ -270,6 +283,7 @@ def argv_list() -> list[list[str]]:
         ["waves", "--parts", "1,2", "--d", "2", "--n", "5"],
         ["presym", "--partition", "1,2", "--j", "1"],
         ["presym", "--partition", "2,1", "--j", "3"],
+        ["presym", "--partition", "2,1", "--j", "0"],
         ["verify", "--mode", "uniqueness"],
         ["verify", "--mode", "waves"],
         ["verify", "--mode", "circulant", "--n-max", "1"],
@@ -405,7 +419,7 @@ def argv_list() -> list[list[str]]:
     argvs += single_waves + large_windows + gcd_drops + dp_classes
     argvs += failing + [argv + ["--format", "json"] for argv in failing + edges]
     argvs += reader_edges + [argv + ["--format", "json"] for argv in reader_edges]
-    return argvs + usage + boundary + reader_plain
+    return argvs + usage + boundary + reader_plain + window_refusals
 
 
 # Run in a subprocess with the source tree first on sys.path: read the argv
